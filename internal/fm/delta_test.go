@@ -36,7 +36,7 @@ func trickyGraph(t *testing.T) *Graph {
 	b := NewBuilder("tricky")
 	x := b.Input(32)
 	y := b.Input(64)
-	_ = b.Input(32) // never consumed
+	_ = b.Input(32)                 // never consumed
 	s := b.Op(tech.OpAdd, 32, x, x) // duplicate dep
 	m := b.Op(tech.OpMul, 64, s, y)
 	_ = b.Op(tech.OpAdd, 32, s) // dead value

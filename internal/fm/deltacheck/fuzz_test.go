@@ -44,9 +44,9 @@ func fuzzGraph(seed int64, ops int) *fm.Graph {
 func FuzzDeltaEvaluate(f *testing.F) {
 	f.Add(int64(1), 30, 3, 3, []byte{0, 0, 1, 5, 8, 0, 20, 3, 1})
 	f.Add(int64(42), 60, 4, 4, []byte("annealing-walks-the-grid"))
-	f.Add(int64(7), 12, 1, 1, []byte{9, 0, 1, 9, 0, 0})   // 1x1 grid: every move a no-op
-	f.Add(int64(9), 80, 8, 1, []byte{1, 2, 3, 4, 5, 6})   // 1-D grid
-	f.Add(int64(3), 1, 2, 2, []byte{0, 1, 1, 0, 2, 1})    // minimal graph
+	f.Add(int64(7), 12, 1, 1, []byte{9, 0, 1, 9, 0, 0}) // 1x1 grid: every move a no-op
+	f.Add(int64(9), 80, 8, 1, []byte{1, 2, 3, 4, 5, 6}) // 1-D grid
+	f.Add(int64(3), 1, 2, 2, []byte{0, 1, 1, 0, 2, 1})  // minimal graph
 	f.Add(int64(11), 45, 2, 5, []byte{250, 250, 250, 17, 17, 17, 80, 80, 80})
 
 	f.Fuzz(func(t *testing.T, seed int64, ops, gw, gh int, moves []byte) {

@@ -11,7 +11,8 @@ import (
 // legality checker with arbitrary dims, dependence offsets, and widths.
 // The contract under fuzz: bad input is reported as an error, never a
 // panic; good input materializes a graph whose domain indexing round-
-// trips and whose serial mapping passes Check.
+// trips, whose fingerprint Recurrence.Fingerprint reproduces without
+// building it, and whose serial mapping passes Check.
 func FuzzRecurrenceMaterialize(f *testing.F) {
 	// The paper's edit-distance dependence structure, plus degenerate and
 	// invalid shapes seeding the interesting branches.
@@ -42,11 +43,18 @@ func FuzzRecurrenceMaterialize(f *testing.F) {
 			Bits: bits,
 		}
 		g, dom, err := r.Materialize()
+		fp, fpErr := r.Fingerprint()
 		if err != nil {
 			if g != nil || dom != nil {
 				t.Fatal("Materialize returned both an error and a result")
 			}
+			if fpErr == nil || fpErr.Error() != err.Error() {
+				t.Fatalf("Fingerprint error %v, Materialize error %v", fpErr, err)
+			}
 			return
+		}
+		if fpErr != nil || fp != g.Fingerprint() {
+			t.Fatalf("Fingerprint = %016x, %v; materialized graph hashes %016x", fp, fpErr, g.Fingerprint())
 		}
 		if got := dom.Size(); got != g.NumNodes() {
 			t.Fatalf("domain size %d != node count %d", got, g.NumNodes())

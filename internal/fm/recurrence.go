@@ -177,6 +177,89 @@ func (r Recurrence) Materialize() (*Graph, *Domain, error) {
 	return b.Build(), dom, nil
 }
 
+// Fingerprint returns the structural fingerprint of the graph
+// Materialize would build — Materialize's Graph.Fingerprint() — without
+// building it. It validates exactly as Materialize does and streams the
+// same hash words in the same order: the cell count; for every cell its
+// op word, its in-domain producers in offset order and the list
+// terminator; then every cell no other cell consumes. A cell is consumed
+// exactly when stepping forward by some offset stays in the domain, so
+// neither pass needs per-cell storage: the working space is O(rank +
+// offsets), on the stack for rank up to 4 and up to 8 offsets.
+func (r Recurrence) Fingerprint() (uint64, error) {
+	if err := r.Validate(); err != nil {
+		return 0, err
+	}
+	var idxBuf [4]int
+	var distBuf [8]int
+	idx, dist := idxBuf[:0], distBuf[:0]
+	size := 1
+	for _, e := range r.Dims {
+		idx = append(idx, 0)
+		size *= e
+	}
+	// dist[j] is offset j's row-major distance: cell lin's producer
+	// through offset j is cell lin-dist[j].
+	for _, off := range r.Deps {
+		d, stride := 0, 1
+		for k := len(r.Dims) - 1; k >= 0; k-- {
+			d += off[k] * stride
+			stride *= r.Dims[k]
+		}
+		dist = append(dist, d)
+	}
+
+	word := uint64(uint32(r.Bits))<<1 | uint64(r.Op)<<40
+	h := fnvMix(fnvOffset64, uint64(size))
+	for lin := 0; lin < size; lin++ {
+		h = fnvMix(h, word)
+		for j, off := range r.Deps {
+			if shiftInDomain(idx, off, -1, r.Dims) {
+				h = fnvMix(h, uint64(uint32(lin-dist[j])))
+			}
+		}
+		h = fnvMix(h, ^uint64(0))
+		nextIndex(idx, r.Dims)
+	}
+	// idx has wrapped back to the first cell.
+	for lin := 0; lin < size; lin++ {
+		consumed := false
+		for _, off := range r.Deps {
+			if shiftInDomain(idx, off, 1, r.Dims) {
+				consumed = true
+				break
+			}
+		}
+		if !consumed {
+			h = fnvMix(h, uint64(uint32(lin)))
+		}
+		nextIndex(idx, r.Dims)
+	}
+	return h, nil
+}
+
+// shiftInDomain reports whether idx + sign*off lies inside dims.
+func shiftInDomain(idx, off []int, sign int, dims []int) bool {
+	for k, v := range idx {
+		if p := v + sign*off[k]; p < 0 || p >= dims[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// nextIndex advances idx to the next cell of dims in row-major order,
+// wrapping to the first cell after the last.
+func nextIndex(idx, dims []int) {
+	for k := len(idx) - 1; k >= 0; k-- {
+		idx[k]++
+		if idx[k] < dims[k] {
+			return
+		}
+		idx[k] = 0
+	}
+}
+
 // ScheduleByIndex materializes a schedule for a recurrence graph by
 // evaluating f on every cell's multi-index. The idx slice passed to f is
 // reused between calls and must not be retained.

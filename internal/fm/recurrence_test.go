@@ -1,6 +1,7 @@
 package fm
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -196,5 +197,73 @@ func TestAntiDiagonalPanics(t *testing.T) {
 func TestMaterializeInvalid(t *testing.T) {
 	if _, _, err := (Recurrence{Name: "bad", Dims: []int{-1}, Bits: 32}).Materialize(); err == nil {
 		t.Fatal("want error")
+	}
+}
+
+// randomRecurrence draws a recurrence of rank 1-3 with extents 1-12, 0-4
+// dependence offsets (negative components and duplicates included), any
+// of the five ops and a width of 1-64. About one spec in eight breaks one
+// rule Validate enforces, so the error path is exercised too.
+func randomRecurrence(rng *rand.Rand) Recurrence {
+	rank := 1 + rng.Intn(3)
+	r := Recurrence{Name: "prop", Op: tech.OpClass(rng.Intn(5)), Bits: 1 + rng.Intn(64)}
+	for k := 0; k < rank; k++ {
+		r.Dims = append(r.Dims, 1+rng.Intn(12))
+	}
+	for j, n := 0, rng.Intn(5); j < n; j++ {
+		if j > 0 && rng.Intn(4) == 0 {
+			r.Deps = append(r.Deps, r.Deps[rng.Intn(j)]) // duplicate
+			continue
+		}
+		off := make([]int, rank)
+		for k := range off {
+			off[k] = rng.Intn(7) - 3
+		}
+		if !lexPositive(off) && rng.Intn(10) != 0 {
+			// Mostly legal: flip lex-negative offsets, lift all-zero ones.
+			for k := range off {
+				off[k] = -off[k]
+			}
+			if !lexPositive(off) {
+				off[0] = 1
+			}
+		}
+		r.Deps = append(r.Deps, off)
+	}
+	switch rng.Intn(24) {
+	case 0:
+		r.Dims[rng.Intn(rank)] = 0
+	case 1:
+		r.Bits = 0
+	case 2:
+		r.Deps = append(r.Deps, make([]int, rank+1))
+	}
+	return r
+}
+
+// TestRecurrenceFingerprintMatchesMaterialize: the streamed fingerprint is
+// the materialized graph's, and a spec Materialize rejects is rejected
+// with the same error. The value keys the on-disk atlas and picks every
+// request's shard, so it must never drift from Graph.Fingerprint.
+func TestRecurrenceFingerprintMatchesMaterialize(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	valid := 0
+	for i := 0; i < 3000; i++ {
+		r := randomRecurrence(rng)
+		fp, err := r.Fingerprint()
+		g, _, merr := r.Materialize()
+		if merr != nil {
+			if err == nil || err.Error() != merr.Error() {
+				t.Fatalf("spec %d %+v: Fingerprint error %v, Materialize error %v", i, r, err, merr)
+			}
+			continue
+		}
+		valid++
+		if err != nil || fp != g.Fingerprint() {
+			t.Fatalf("spec %d %+v: Fingerprint = %016x, %v; graph hashes %016x", i, r, fp, err, g.Fingerprint())
+		}
+	}
+	if valid < 2000 {
+		t.Fatalf("only %d of 3000 random specs were valid; the generator lost coverage", valid)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"repro/internal/fm"
@@ -108,19 +109,28 @@ func (s *Server) writeEvalError(rt *tracing.Request, w http.ResponseWriter, err 
 	}
 }
 
-// resolveGraph materializes the request's graph: inline recurrence, or
+// resolveGraph finds the request's graph: inline recurrence, or
 // fingerprint lookup against graphs this server materialized earlier.
-// Inline graphs are registered so the client can switch to
-// fingerprint-only requests. The returned status is the HTTP status to
-// serve when err is non-nil.
+// An inline recurrence is fingerprinted without being built, and the
+// registered graph is reused when its domain has the request's extents
+// (two recurrences can share a graph but not a domain, and the
+// antidiagonal and affine mappings read the domain). Only a miss or a
+// domain mismatch materializes; the result is registered so the client
+// can switch to fingerprint-only requests. The returned status is the
+// HTTP status to serve when err is non-nil.
 func (s *Server) resolveGraph(rec *RecurrenceSpec, fpHex string) (g *fm.Graph, dom *fm.Domain, gfp uint64, status int, err error) {
 	switch {
 	case rec != nil:
-		g, dom, err = rec.materialize()
-		if err != nil {
+		var r fm.Recurrence
+		if r, gfp, err = rec.fingerprint(); err != nil {
 			return nil, nil, 0, http.StatusUnprocessableEntity, err
 		}
-		gfp = g.Fingerprint()
+		if e, ok := s.graphs.lookup(gfp); ok && slices.Equal(e.dom.Dims(), r.Dims) {
+			return e.g, e.dom, gfp, 0, nil
+		}
+		if g, dom, err = r.Materialize(); err != nil {
+			return nil, nil, 0, http.StatusUnprocessableEntity, err
+		}
 		s.graphs.register(gfp, &graphEntry{g: g, dom: dom})
 		return g, dom, gfp, 0, nil
 	case fpHex != "":

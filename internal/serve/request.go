@@ -1,8 +1,8 @@
 // Wire types for the mapd JSON API and their translation into fm
-// objects. Every request is validated and materialized on the request
-// goroutine before touching the admission queue, so the queue only ever
-// holds well-formed work and a malformed request costs nothing but its
-// own parse.
+// objects. Every request is validated and resolved to its graph on the
+// request goroutine before touching the admission queue, so the queue
+// only ever holds well-formed work and a malformed request costs nothing
+// but its own parse.
 package serve
 
 import (
@@ -57,22 +57,24 @@ var opClasses = map[string]tech.OpClass{
 	"fma":   tech.OpFMA,
 }
 
-// materialize validates the spec and builds the graph and domain.
-func (rs *RecurrenceSpec) materialize() (*fm.Graph, *fm.Domain, error) {
+// fingerprint validates the spec and returns the fm.Recurrence it
+// names, defaults applied, with the fingerprint of the graph that
+// recurrence materializes: computed without materializing it.
+func (rs *RecurrenceSpec) fingerprint() (fm.Recurrence, uint64, error) {
 	op, ok := opClasses[rs.Op]
 	if !ok {
-		return nil, nil, fmt.Errorf("unknown op %q (want add|mul|cmp|logic|fma)", rs.Op)
+		return fm.Recurrence{}, 0, fmt.Errorf("unknown op %q (want add|mul|cmp|logic|fma)", rs.Op)
 	}
 	if len(rs.Deps) > maxDeps {
-		return nil, nil, fmt.Errorf("recurrence has %d dependence offsets, limit %d", len(rs.Deps), maxDeps)
+		return fm.Recurrence{}, 0, fmt.Errorf("recurrence has %d dependence offsets, limit %d", len(rs.Deps), maxDeps)
 	}
 	cells := 1
 	for _, d := range rs.Dims {
 		if d <= 0 {
-			return nil, nil, fmt.Errorf("non-positive domain extent %d", d)
+			return fm.Recurrence{}, 0, fmt.Errorf("non-positive domain extent %d", d)
 		}
 		if cells > maxCells/d {
-			return nil, nil, fmt.Errorf("domain %v exceeds the %d-cell limit", rs.Dims, maxCells)
+			return fm.Recurrence{}, 0, fmt.Errorf("domain %v exceeds the %d-cell limit", rs.Dims, maxCells)
 		}
 		cells *= d
 	}
@@ -84,11 +86,9 @@ func (rs *RecurrenceSpec) materialize() (*fm.Graph, *fm.Domain, error) {
 	if name == "" {
 		name = "recurrence"
 	}
-	g, dom, err := fm.Recurrence{Name: name, Dims: rs.Dims, Deps: rs.Deps, Op: op, Bits: bits}.Materialize()
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, dom, nil
+	r := fm.Recurrence{Name: name, Dims: rs.Dims, Deps: rs.Deps, Op: op, Bits: bits}
+	gfp, err := r.Fingerprint()
+	return r, gfp, err
 }
 
 // TargetSpec is the wire form of fm.Target: a w x h grid with optional

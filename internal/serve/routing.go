@@ -24,13 +24,14 @@ type routeProbe struct {
 }
 
 // RouteKey computes the cluster routing key — fm.Fingerprint(graph,
-// target) — from a raw request body. An inline recurrence is
-// materialized (the router pays one graph build to route by content); a
-// fingerprint-only body folds the given graph_fp directly, which lands
-// on the same shard because fm.Fingerprint(g, tgt) ==
-// fm.FingerprintFP(g.Fingerprint(), tgt) by construction. Errors mean
-// the body could not possibly be served and the router may refuse it
-// without burning a shard round-trip.
+// target) — from a raw request body without building the graph: an
+// inline recurrence is fingerprinted by fm.Recurrence.Fingerprint, which
+// streams the hash its materialized graph would have; a fingerprint-only
+// body folds the given graph_fp directly. Both land on the same shard
+// because fm.Fingerprint(g, tgt) == fm.FingerprintFP(g.Fingerprint(),
+// tgt) by construction. Errors mean the body could not possibly be
+// served and the router may refuse it without burning a shard
+// round-trip.
 func RouteKey(body []byte) (uint64, error) {
 	var p routeProbe
 	if err := json.Unmarshal(body, &p); err != nil {
@@ -42,11 +43,11 @@ func RouteKey(body []byte) (uint64, error) {
 	}
 	switch {
 	case p.Recurrence != nil:
-		g, _, err := p.Recurrence.materialize()
+		_, gfp, err := p.Recurrence.fingerprint()
 		if err != nil {
 			return 0, fmt.Errorf("route: %w", err)
 		}
-		return fm.Fingerprint(g, tgt), nil
+		return fm.FingerprintFP(gfp, tgt), nil
 	case p.GraphFP != "":
 		gfp, err := parseGraphFP(p.GraphFP)
 		if err != nil {

@@ -1,0 +1,63 @@
+package serve
+
+import (
+	"encoding/json"
+	"testing"
+
+	"repro/internal/fm"
+)
+
+// materialize builds the graph and domain a wire spec names, as
+// resolveGraph does on a registry miss.
+func (rs *RecurrenceSpec) materialize() (*fm.Graph, *fm.Domain, error) {
+	r, _, err := rs.fingerprint()
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.Materialize()
+}
+
+// FuzzRouteKey feeds arbitrary bodies to the router's decoder. It must
+// never panic, and whenever the body's inline recurrence materializes on
+// a valid target, the key must be fm.FingerprintFP of the materialized
+// graph's fingerprint: the value every shard's cache and atlas key by,
+// so a router that skips the build still picks the same shard.
+func FuzzRouteKey(f *testing.F) {
+	for _, body := range []string{
+		evalBody,
+		// A search and a slack request: the router keys them the same way.
+		`{"recurrence": {"dims": [8, 8], "deps": [[1, 0], [0, 1], [1, 1]], "op": "cmp", "bits": 16},
+		  "target": {"width": 4}, "kind": "anneal", "iters": 200, "chains": 2, "seed": 3}`,
+		`{"recurrence": {"dims": [5, 5], "deps": [[1, -1], [0, 1]]},
+		  "target": {"width": 2, "height": 2}, "schedule": {"kind": "list"}}`,
+		`{"recurrence": {"name": "cube", "dims": [3, 4, 5], "deps": [[1, 0, 0], [0, 0, 1], [0, 0, 1]], "op": "fma"},
+		  "target": {"width": 4, "pitch_mm": 0.5, "mem_words_per_node": 64}, "schedules": [{"kind": "serial"}]}`,
+		`{"graph_fp": "1f2e3d4c5b6a7988", "target": {"width": 4}, "schedules": [{"kind": "serial"}]}`,
+		// Rejections: bad extent, lex-negative offset, bad target, no graph.
+		`{"recurrence": {"dims": [0, 4], "deps": []}, "target": {"width": 4}}`,
+		`{"recurrence": {"dims": [4, 4], "deps": [[0, -1]]}, "target": {"width": 4}}`,
+		`{"recurrence": {"dims": [4], "deps": [[1]]}, "target": {"width": 0}}`,
+		`{"target": {"width": 4}}`,
+		`{"recurrence": null, "graph_fp": "zz"}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		key, err := RouteKey(body)
+		var p routeProbe
+		if json.Unmarshal(body, &p) != nil || p.Recurrence == nil {
+			return
+		}
+		tgt, terr := p.Target.target()
+		g, _, merr := p.Recurrence.materialize()
+		if terr != nil || merr != nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("RouteKey refused a servable body: %v", err)
+		}
+		if want := fm.FingerprintFP(g.Fingerprint(), tgt); key != want {
+			t.Fatalf("RouteKey = %016x, materialized graph routes to %016x", key, want)
+		}
+	})
+}

@@ -361,3 +361,58 @@ func TestDrainFinishesQueuedWork(t *testing.T) {
 		t.Fatalf("final snapshot lost the drained work: %+v", snap.Counters)
 	}
 }
+
+// TestResolveGraphPinsDomain: {1,6} stepping (0,1) and {6,1} stepping
+// (1,0) are the same 6-node chain, so they share a graph fingerprint
+// but not a domain, and the antidiagonal and affine mappings read the
+// domain. A server that has registered one must still answer the other
+// as a fresh server does.
+func TestResolveGraphPinsDomain(t *testing.T) {
+	const schedules = `"target": {"width": 4}, "schedules": [{"kind": "antidiagonal"},
+		{"kind": "affine", "p": 3, "a1": 1, "a2": 2, "t1": 20, "t2": 30}]}`
+	bodies := []string{
+		`{"recurrence": {"dims": [1, 6], "deps": [[0, 1]]}, ` + schedules,
+		`{"recurrence": {"dims": [6, 1], "deps": [[1, 0]]}, ` + schedules,
+	}
+	shared := newTestServer(t, nil)
+	var answers [2]EvalResponse
+	for i, body := range bodies {
+		var want EvalResponse
+		if code, rec := post(t, newTestServer(t, nil), "POST", "/v1/eval", body, &want); code != 200 {
+			t.Fatalf("fresh server, body %d: status %d: %s", i, code, rec.Body.String())
+		}
+		if code, rec := post(t, shared, "POST", "/v1/eval", body, &answers[i]); code != 200 {
+			t.Fatalf("shared server, body %d: status %d: %s", i, code, rec.Body.String())
+		}
+		if fmt.Sprint(answers[i]) != fmt.Sprint(want) {
+			t.Fatalf("body %d: shared server answered %+v, fresh server %+v", i, answers[i], want)
+		}
+	}
+	if answers[0].GraphFP != answers[1].GraphFP {
+		t.Fatalf("the two chains should share a graph fingerprint: %s vs %s", answers[0].GraphFP, answers[1].GraphFP)
+	}
+	if fmt.Sprint(answers[0].Costs) == fmt.Sprint(answers[1].Costs) {
+		t.Fatal("the two domains priced alike; the test no longer tells them apart")
+	}
+}
+
+// TestResolveRegisteredInlineAllocs: resolving an inline recurrence the
+// registry already holds streams its fingerprint and probes the
+// registry, so its allocations do not grow with the domain.
+func TestResolveRegisteredInlineAllocs(t *testing.T) {
+	s := newTestServer(t, nil)
+	allocs := func(n int) float64 {
+		rec := &RecurrenceSpec{Dims: []int{n, n}, Deps: [][]int{{1, 0}, {0, 1}, {1, 1}}}
+		if _, _, _, _, err := s.resolveGraph(rec, ""); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, _, _, _, err := s.resolveGraph(rec, ""); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(4), allocs(128); small != large {
+		t.Fatalf("resolving a registered 4x4 recurrence allocates %v times, 128x128 %v", small, large)
+	}
+}

@@ -568,12 +568,24 @@ func (s *Store) applyEntryLocked(e *Entry) {
 // (false, err) when the append could not be made durable — the caller
 // keeps serving, the store repairs what it can, and the entry is NOT
 // indexed: the in-memory index never claims more than the disk holds.
+// A duplicate costs one index probe: only a new record is encoded,
+// framed, written and fsync'd.
 func (s *Store) Put(gfp uint64, tgt fm.Target, sched fm.Schedule, cost fm.Cost) (bool, error) {
+	key := evalIdxKey{gfp, sched.Fingerprint(), targetFP(tgt)}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.broken != nil {
+		return false, fmt.Errorf("%w: %w", ErrBroken, s.broken)
+	}
+	if _, ok := s.evals[key]; ok {
+		s.mDedup.Inc()
+		return false, nil
+	}
 	e := &Entry{
 		Graph:    gfp,
-		TargetFP: targetFP(tgt),
+		TargetFP: key.target,
 		Target:   tgt,
-		SchedFP:  sched.Fingerprint(),
+		SchedFP:  key.sched,
 		Sched:    sched,
 		Cost:     cost,
 	}
@@ -582,16 +594,6 @@ func (s *Store) Put(gfp uint64, tgt fm.Target, sched fm.Schedule, cost fm.Cost) 
 		return false, err
 	}
 	frame := appendRecord(make([]byte, 0, frameHeader+len(payload)), payload)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.broken != nil {
-		return false, fmt.Errorf("%w: %w", ErrBroken, s.broken)
-	}
-	if _, ok := s.evals[evalIdxKey{e.Graph, e.SchedFP, e.TargetFP}]; ok {
-		s.mDedup.Inc()
-		return false, nil
-	}
 	if _, err := s.active.Write(frame); err != nil {
 		s.mAppendErrs.Inc()
 		s.repairLocked()

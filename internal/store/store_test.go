@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/fm"
 	"repro/internal/fm/search"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/tech"
 )
 
@@ -342,18 +344,123 @@ func TestMissingSegmentReportedUnhealthy(t *testing.T) {
 	}
 }
 
+// TestPutErrorsAfterClose: a closed store's append path is broken, and
+// Put says so for a new entry and a duplicate alike: the broken check
+// comes before the dedup probe.
 func TestPutErrorsAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(OS{}, dir, Options{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
+	ents := testEntries(t, 6, 2)
+	putAll(t, s, ents[:1])
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	e := testEntries(t, 6, 1)[0]
-	if _, err := s.Put(e.gfp, e.tgt, e.sched, e.cost); !errors.Is(err, ErrBroken) {
-		t.Fatalf("put after close: %v, want ErrBroken", err)
+	for i, e := range ents {
+		if _, err := s.Put(e.gfp, e.tgt, e.sched, e.cost); !errors.Is(err, ErrBroken) {
+			t.Fatalf("put %d (duplicate, then new) after close: %v, want ErrBroken", i, err)
+		}
+	}
+}
+
+// countingFS counts every call the store makes through the FS seam,
+// calls on the files it opens included.
+type countingFS struct {
+	inner FS
+	ops   int
+}
+
+func (c *countingFS) file(f File, err error) (File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{c: c, inner: f}, nil
+}
+
+func (c *countingFS) MkdirAll(dir string) error        { c.ops++; return c.inner.MkdirAll(dir) }
+func (c *countingFS) Create(name string) (File, error) { c.ops++; return c.file(c.inner.Create(name)) }
+func (c *countingFS) OpenAppend(name string) (File, error) {
+	c.ops++
+	return c.file(c.inner.OpenAppend(name))
+}
+func (c *countingFS) OpenRead(name string) (File, error) {
+	c.ops++
+	return c.file(c.inner.OpenRead(name))
+}
+func (c *countingFS) Rename(from, to string) error         { c.ops++; return c.inner.Rename(from, to) }
+func (c *countingFS) Remove(name string) error             { c.ops++; return c.inner.Remove(name) }
+func (c *countingFS) Truncate(name string, n int64) error  { c.ops++; return c.inner.Truncate(name, n) }
+func (c *countingFS) Size(name string) (int64, error)      { c.ops++; return c.inner.Size(name) }
+func (c *countingFS) ReadDir(dir string) ([]string, error) { c.ops++; return c.inner.ReadDir(dir) }
+func (c *countingFS) SyncDir(dir string) error             { c.ops++; return c.inner.SyncDir(dir) }
+
+type countingFile struct {
+	c     *countingFS
+	inner File
+}
+
+func (f *countingFile) Read(p []byte) (int, error)  { f.c.ops++; return f.inner.Read(p) }
+func (f *countingFile) Write(p []byte) (int, error) { f.c.ops++; return f.inner.Write(p) }
+func (f *countingFile) Sync() error                 { f.c.ops++; return f.inner.Sync() }
+func (f *countingFile) Close() error                { f.c.ops++; return f.inner.Close() }
+
+// TestDuplicatePutTouchesNoFS: a duplicate Put answers (false, nil) and
+// counts a dedup skip from the index alone, without one call on the FS
+// and without encoding the record, so its cost does not grow with the
+// schedule.
+func TestDuplicatePutTouchesNoFS(t *testing.T) {
+	fsys := &countingFS{inner: OS{}}
+	reg := obs.New()
+	s, err := Open(fsys, t.TempDir(), Options{Obs: reg})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	ents := testEntries(t, 4, 8)
+	putAll(t, s, ents)
+	before := fsys.ops
+	for i, e := range ents {
+		added, err := s.Put(e.gfp, e.tgt, e.sched, e.cost)
+		if err != nil || added {
+			t.Fatalf("re-put %d: added=%v err=%v, want false/nil", i, added, err)
+		}
+	}
+	if n := fsys.ops - before; n != 0 {
+		t.Fatalf("%d duplicate puts made %d FS calls, want 0", len(ents), n)
+	}
+	if got := reg.Counter("store.dedup_skips").Value(); got != int64(len(ents)) {
+		t.Fatalf("dedup_skips = %d, want %d", got, len(ents))
+	}
+	checkAll(t, s, ents)
+
+	g := testGraph(9, 400)
+	tgt := fm.DefaultTarget(4, 4)
+	sched := fm.SerialSchedule(g, tgt, geom.Pt(0, 0))
+	cost, err := fm.Evaluate(g, sched, tgt, fm.EvalOptions{})
+	if err != nil {
+		t.Fatalf("evaluate: %v", err)
+	}
+	big := priced{g: g, gfp: g.Fingerprint(), tgt: tgt, sched: sched, cost: cost}
+	putAll(t, s, []priced{big})
+	// Bytes, not allocation counts: encoding a record takes the same
+	// number of allocations at any size, but not the same bytes.
+	dupBytes := func(e priced) uint64 {
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := s.Put(e.gfp, e.tgt, e.sched, e.cost); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	if small, large := dupBytes(ents[0]), dupBytes(big); large > small+512 {
+		t.Fatalf("a duplicate put allocates %d bytes for a %d-node schedule, %d for %d nodes",
+			small, len(ents[0].sched), large, len(big.sched))
 	}
 }
 
