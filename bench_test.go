@@ -34,12 +34,15 @@ import (
 // BenchmarkE1EnergyRatios measures the 160x / 4500x / 50,000x transport
 // ratios on the grid-machine simulator (E1).
 func BenchmarkE1EnergyRatios(b *testing.B) {
-	m := machine.New(machine.Config{
+	m, err := machine.NewChecked(machine.Config{
 		Grid:               geom.NewGrid(30, 1, 1.0),
 		Tech:               tech.N5(),
 		RouterDelayPS:      -1,
 		RouterEnergyPerBit: -1,
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
 		m.Reset()
@@ -54,7 +57,10 @@ func BenchmarkE1EnergyRatios(b *testing.B) {
 
 // BenchmarkE2InstructionOverhead measures the 10,000x CPU overhead (E2).
 func BenchmarkE2InstructionOverhead(b *testing.B) {
-	m := machine.New(machine.Config{Grid: geom.NewGrid(2, 2, 1.0), Tech: tech.N5(), CPUOverhead: true})
+	m, err := machine.NewChecked(machine.Config{Grid: geom.NewGrid(2, 2, 1.0), Tech: tech.N5(), CPUOverhead: true})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
 		m.Reset()
 		m.Compute(geom.Pt(0, 0), tech.OpAdd, 32, "add")
@@ -189,13 +195,17 @@ func BenchmarkE5MappingSearch(b *testing.B) {
 	})
 	b.Run("anneal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			search.Anneal(g, tgt, search.AnnealOptions{Iters: 200, Seed: 3})
+			if _, _, err := search.AnnealResumable(g, tgt, search.AnnealOptions{Iters: 200, Seed: 3}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("anneal-multichain", func(b *testing.B) {
 		workers := runtime.NumCPU()
 		anneal := func(chains, workers int) {
-			search.Anneal(g, tgt, search.AnnealOptions{Iters: 200, Seed: 3, Chains: chains, Workers: workers})
+			if _, _, err := search.AnnealResumable(g, tgt, search.AnnealOptions{Iters: 200, Seed: 3, Chains: chains, Workers: workers}); err != nil {
+				b.Fatal(err)
+			}
 		}
 		for i := 0; i < b.N; i++ {
 			anneal(4, workers)
@@ -500,8 +510,14 @@ func BenchmarkE13Verification(b *testing.B) {
 		}
 		tgt := fm.DefaultTarget(4, 1)
 		tgt.MemWordsPerNode = 1 << 20
-		stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, 24, 4)
-		sched := fm.AntiDiagonalSchedule(dom, 4, stride, geom.Pt(0, 0))
+		stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, 24, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sched, err := fm.AntiDiagonalScheduleChecked(dom, 4, stride, geom.Pt(0, 0))
+		if err != nil {
+			b.Fatal(err)
+		}
 		var res verify.RefineResult
 		for i := 0; i < b.N; i++ {
 			res = verify.Refine(eg, sched, tgt)
@@ -591,8 +607,14 @@ func BenchmarkE16Lowering(b *testing.B) {
 	}
 	tgt := fm.DefaultTarget(4, 1)
 	tgt.MemWordsPerNode = 1 << 20
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, 16, 4)
-	sched := fm.AntiDiagonalSchedule(dom, 4, stride, geom.Pt(0, 0))
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, 16, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(dom, 4, stride, geom.Pt(0, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
 	var arch *lower.Architecture
 	for i := 0; i < b.N; i++ {
 		arch, err = lower.Lower(g, sched, tgt)

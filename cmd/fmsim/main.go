@@ -44,6 +44,7 @@ import (
 	"repro/internal/fm"
 	"repro/internal/geom"
 	"repro/internal/lower"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/tech"
@@ -187,7 +188,10 @@ func replayObserved(g *fm.Graph, sched fm.Schedule, tgt fm.Target, cost fm.Cost,
 	fn, mapping string, n, p int, render, critpath bool, metricsOut string) error {
 	reg := obs.New()
 	rtr := trace.New()
-	m := replay.ObservedMachineFor(tgt, nil, rtr, reg)
+	m, err := replay.ObservedMachineFor(tgt, nil, rtr, reg)
+	if err != nil {
+		return err
+	}
 	met, err := replay.Run(g, sched, tgt, m)
 	if err != nil {
 		return err
@@ -245,7 +249,14 @@ func replayObserved(g *fm.Graph, sched fm.Schedule, tgt fm.Target, cost fm.Cost,
 // replayFaulted runs the mapping twice on the machine simulator — once
 // ideal, once with the injector — and prints the degradation.
 func replayFaulted(g *fm.Graph, sched fm.Schedule, tgt fm.Target, rate float64, seed int64) error {
-	base, err := replay.Run(g, sched, tgt, replay.MachineFor(tgt, nil, nil))
+	run := func(inj *fault.Injector) (machine.Metrics, error) {
+		m, err := replay.MachineFor(tgt, inj, nil)
+		if err != nil {
+			return machine.Metrics{}, err
+		}
+		return replay.Run(g, sched, tgt, m)
+	}
+	base, err := run(nil)
 	if err != nil {
 		return err
 	}
@@ -253,7 +264,7 @@ func replayFaulted(g *fm.Graph, sched fm.Schedule, tgt fm.Target, rate float64, 
 	if err != nil {
 		return err
 	}
-	got, err := replay.Run(g, sched, tgt, replay.MachineFor(tgt, inj, nil))
+	got, err := run(inj)
 	if err != nil {
 		return err
 	}

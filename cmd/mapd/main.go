@@ -47,6 +47,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
 	"repro/internal/serve"
@@ -75,11 +76,11 @@ func main() {
 	flag.Parse()
 
 	log := obs.NewLogger(os.Stderr, obs.LevelInfo)
-	var clock serve.Clock = serve.SystemClock{}
+	var clk clock.Clock = clock.System{}
 	if *frozenClock {
-		clock = serve.NewFakeClock(time.Unix(0, 0))
+		clk = clock.NewFake(time.Unix(0, 0))
 	} else {
-		log.WithNow(time.Now)
+		log.WithNow(clk.Now)
 	}
 	var tracer *tracing.Tracer
 	if *traceBuf > 0 {
@@ -87,7 +88,7 @@ func main() {
 			Seed:      *traceSeed,
 			Capacity:  *traceBuf,
 			ExemplarK: *traceExemplars,
-			Clock:     clock,
+			Clock:     clk,
 			OnExemplar: func(rec tracing.Record) {
 				log.Info("slow-request exemplar retained",
 					"trace_id", rec.TraceID, "route", rec.Route,
@@ -106,7 +107,7 @@ func main() {
 		DefaultDeadline:  *deadline,
 		CheckpointDir:    *checkpointDir,
 		AdmissionControl: *admission,
-		Clock:            clock,
+		Clock:            clk,
 		Obs:              obs.New(),
 		Tracer:           tracer,
 	}, *drain, *obsOut, *traceOut, log); err != nil {

@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
@@ -73,11 +74,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	var clock cluster.Clock = cluster.SystemClock{}
+	var clk clock.Clock = clock.System{}
 	if *frozenClock {
-		clock = cluster.NewFakeClock(time.Unix(0, 0))
+		clk = clock.NewFake(time.Unix(0, 0))
 	} else {
-		log.WithNow(time.Now)
+		log.WithNow(clk.Now)
 	}
 	var tracer *tracing.Tracer
 	if *traceBuf > 0 {
@@ -85,7 +86,7 @@ func main() {
 			Seed:      *traceSeed,
 			Capacity:  *traceBuf,
 			ExemplarK: *traceExemplars,
-			Clock:     clock,
+			Clock:     clk,
 			OnExemplar: func(rec tracing.Record) {
 				log.Info("slow-request exemplar retained",
 					"trace_id", rec.TraceID, "route", rec.Route,
@@ -103,7 +104,7 @@ func main() {
 		HedgeMin:       *hedgeMin,
 		ExchangeRounds: *exchangeRounds,
 		ProbeTimeout:   *probeTimeout,
-		Clock:          clock,
+		Clock:          clk,
 		Obs:            reg,
 		Tracer:         tracer,
 	})

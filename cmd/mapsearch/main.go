@@ -64,6 +64,18 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this path at exit")
 	flag.Parse()
 
+	// Reject sizes the search cannot honour before any work: -p < 1 has
+	// no processor row to map onto, and -iters < 1 would anneal a
+	// different number of proposals than the banner reports.
+	if *p < 1 {
+		fmt.Fprintf(os.Stderr, "mapsearch: -p must be at least 1, got %d\n", *p)
+		os.Exit(2)
+	}
+	if *iters < 1 {
+		fmt.Fprintf(os.Stderr, "mapsearch: -iters must be at least 1, got %d\n", *iters)
+		os.Exit(2)
+	}
+
 	stopCPU, err := prof.StartCPU(*cpuprofile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mapsearch: %v\n", err)
@@ -121,12 +133,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	fmt.Printf("\nbest by time:         %s  (%v)\n",
-		search.Best(cands, search.MinTime).Name, search.Best(cands, search.MinTime).Cost)
-	fmt.Printf("best by energy:       %s  (%v)\n",
-		search.Best(cands, search.MinEnergy).Name, search.Best(cands, search.MinEnergy).Cost)
-	fmt.Printf("best by energy-delay: %s  (%v)\n",
-		search.Best(cands, search.MinEDP).Name, search.Best(cands, search.MinEDP).Cost)
+	best := func(obj search.Objective) search.Candidate {
+		c, ok := search.BestChecked(cands, obj)
+		if !ok {
+			fmt.Fprintln(os.Stderr, "mapsearch: the sweep found no mapping")
+			os.Exit(1)
+		}
+		return c
+	}
+	bt, be, bedp := best(search.MinTime), best(search.MinEnergy), best(search.MinEDP)
+	fmt.Printf("\nbest by time:         %s  (%v)\n", bt.Name, bt.Cost)
+	fmt.Printf("best by energy:       %s  (%v)\n", be.Name, be.Cost)
+	fmt.Printf("best by energy-delay: %s  (%v)\n", bedp.Name, bedp.Cost)
 
 	front := search.Pareto(cands)
 	fmt.Printf("\ntime/energy Pareto front (%d points):\n", len(front))

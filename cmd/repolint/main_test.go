@@ -47,8 +47,9 @@ func TestRepolintSinglePackage(t *testing.T) {
 
 // TestRepolintServePackage runs the full suite over the serving layer —
 // a determinism-critical package (see lint.Determinism's criticalPkgs)
-// whose only wall-clock read must stay isolated behind the annotated
-// Clock seam, with no panics, no fmt printing, and nil-safe obs use.
+// that reads no wall clock of its own — time arrives through the
+// internal/clock seam — with no panics, no fmt printing, and nil-safe
+// obs use.
 func TestRepolintServePackage(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"./internal/serve"}, &out, &errOut); code != 0 {
@@ -79,16 +80,17 @@ func TestRepolintStorePackage(t *testing.T) {
 // tier — determinism-critical (routing plans, winner elections, and
 // exchange seeds must be pure functions of the request) and on the
 // request path (ctxflow: every forward and probe threads a
-// request-derived context). The router's single wall-clock read lives
-// behind the annotated Clock seam, like serve's.
+// request-derived context) — and over internal/clock, whose annotated
+// System.Now is the service path's one wall-clock read: the router,
+// like serve, reads time only through that seam.
 func TestRepolintClusterPackage(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"./internal/cluster"}, &out, &errOut); code != 0 {
-		t.Fatalf("repolint ./internal/cluster exited %d\nstdout:\n%s\nstderr:\n%s",
+	if code := run([]string{"./internal/cluster", "./internal/clock"}, &out, &errOut); code != 0 {
+		t.Fatalf("repolint ./internal/cluster ./internal/clock exited %d\nstdout:\n%s\nstderr:\n%s",
 			code, out.String(), errOut.String())
 	}
 	if out.Len() != 0 {
-		t.Fatalf("repolint ./internal/cluster printed findings on exit 0:\n%s", out.String())
+		t.Fatalf("repolint ./internal/cluster ./internal/clock printed findings on exit 0:\n%s", out.String())
 	}
 }
 

@@ -85,8 +85,14 @@ func main() {
 	stgt := fm.DefaultTarget(4, 1)
 	stgt.Grid.PitchMM = 0.1
 	stgt.MemWordsPerNode = 1 << 20
-	stride := fm.MinAntiDiagonalStride(stgt, 0, 32, small, 4)
-	sched := fm.AntiDiagonalSchedule(sdom, 4, stride, geom.Pt(0, 0))
+	stride, err := fm.MinAntiDiagonalStrideChecked(stgt, 0, 32, small, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(sdom, 4, stride, geom.Pt(0, 0))
+	if err != nil {
+		log.Fatal(err)
+	}
 	tr := trace.New()
 	if _, err := fm.Evaluate(sg, sched, stgt, fm.EvalOptions{Trace: tr}); err != nil {
 		log.Fatal(err)

@@ -43,8 +43,14 @@ func TestEndToEndEditDistancePipeline(t *testing.T) {
 	tgt := fm.DefaultTarget(5, 1)
 	tgt.Grid.PitchMM = 0.1
 	tgt.MemWordsPerNode = 1 << 20
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, len(q), 5)
-	sched := fm.AntiDiagonalSchedule(dom, 5, stride, geom.Pt(0, 0))
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, len(q), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(dom, 5, stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// 3. Legality, two independent engines.
 	if err := fm.Check(g, sched, tgt); err != nil {
@@ -85,7 +91,10 @@ func TestEndToEndEditDistancePipeline(t *testing.T) {
 	if len(cands) < 2 {
 		t.Fatalf("search found %d candidates", len(cands))
 	}
-	best := search.Best(cands, search.MinTime)
+	best, ok := search.BestChecked(cands, search.MinTime)
+	if !ok {
+		t.Fatal("search found no candidates")
+	}
 	if best.Cost.Cycles >= serialCost.Cycles {
 		t.Errorf("search best (%d) should beat serial (%d)", best.Cost.Cycles, serialCost.Cycles)
 	}

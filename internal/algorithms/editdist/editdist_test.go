@@ -233,7 +233,8 @@ func TestPaperMappingCrossover(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c2.Cycles < s.Cycles {
-		t.Skipf("P=2 already wins on this target (stride %d)", fm.MinAntiDiagonalStride(tgt, 0, 32, len(q), 2))
+		stride, _ := fm.MinAntiDiagonalStrideChecked(tgt, 0, 32, len(q), 2)
+		t.Skipf("P=2 already wins on this target (stride %d)", stride)
 	}
 	c8, err := PaperMapping(r, q, 8, tgt)
 	if err != nil {

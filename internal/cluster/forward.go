@@ -15,7 +15,7 @@
 // elsewhere would just duplicate the refusal.
 //
 // The hedge delay rides the Clock seam: fixed (HedgeDelay), or derived
-// from the observed forward-latency quantile. Under a FakeClock the
+// from the observed forward-latency quantile. Under a clock.Fake the
 // hedge fires exactly when a test advances past the delay — and never
 // fires under the frozen clock the byte-reproducibility drills run.
 package cluster

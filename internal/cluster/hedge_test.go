@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/leaktest"
 )
 
@@ -33,7 +34,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // than left running to completion.
 func TestHedgeFiresAtExactDelay(t *testing.T) {
 	leaktest.Check(t)
-	clk := NewFakeClock(time.Unix(3000, 0))
+	clk := clock.NewFake(time.Unix(3000, 0))
 	var slowIdx atomic.Int64
 	slowIdx.Store(-1)
 	slowStarted := make(chan struct{}, 1)

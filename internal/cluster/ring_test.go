@@ -1,13 +1,17 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/splitmix"
+)
 
 // testKeys returns nKeys well-mixed routing keys, the shape real
 // fingerprints have (fm.Fingerprint is itself an avalanche hash).
 func testKeys(n int) []uint64 {
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = mix64(uint64(i) + 0x0123456789ABCDEF)
+		keys[i] = splitmix.Mix64(uint64(i) + 0x0123456789ABCDEF)
 	}
 	return keys
 }
@@ -113,5 +117,30 @@ func TestRingOwners(t *testing.T) {
 	}
 	if got := r.Owners(42, 0); len(got) != 1 {
 		t.Fatalf("replicas must clamp to 1, got %v", got)
+	}
+}
+
+// TestRingOwnersGolden pins exact replica sets, not just same-run
+// agreement: a changed token stream or score mixer moves keys between
+// shards (and strands every shard's warm atlas), so it must fail here.
+func TestRingOwnersGolden(t *testing.T) {
+	r := NewRing(3)
+	for _, tc := range []struct {
+		key    uint64
+		owners [2]int
+	}{
+		{0x0, [2]int{2, 0}},
+		{0x1, [2]int{0, 1}},
+		{0x2, [2]int{1, 0}},
+		{0x2a, [2]int{1, 0}},
+		{0xdeadbeef, [2]int{0, 1}},
+		{0x8000000000000000, [2]int{0, 2}},
+		{0x0123456789abcdef, [2]int{1, 2}},
+		{0xffffffffffffffff, [2]int{2, 1}},
+	} {
+		got := r.Owners(tc.key, 2)
+		if len(got) != 2 || got[0] != tc.owners[0] || got[1] != tc.owners[1] {
+			t.Errorf("Owners(%#x, 2) = %v, want %v", tc.key, got, tc.owners)
+		}
 	}
 }

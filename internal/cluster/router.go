@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
 	"repro/internal/serve"
@@ -68,8 +69,8 @@ type Config struct {
 	ProbeTimeout time.Duration
 	// MaxBodyBytes bounds request bodies. Default 1 MiB.
 	MaxBodyBytes int64
-	// Clock is the time seam; nil means SystemClock.
-	Clock Clock
+	// Clock is the time seam; nil means clock.System.
+	Clock clock.Clock
 	// Client issues shard requests; nil means a default client. The
 	// router never sets client-level timeouts — per-attempt lifetimes are
 	// request-context children, so cancelling a loser is surgical.
@@ -79,6 +80,10 @@ type Config struct {
 	// Tracer records router request traces; nil disables.
 	Tracer *tracing.Tracer
 }
+
+// SystemClock is clock.System, kept under this name for callers that
+// configure a router with cluster.SystemClock{}.
+type SystemClock = clock.System
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
@@ -106,7 +111,7 @@ func (c Config) withDefaults() Config {
 		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Clock == nil {
-		c.Clock = SystemClock{}
+		c.Clock = clock.System{}
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -118,7 +123,7 @@ func (c Config) withDefaults() Config {
 // Handler on an http.Server; Drain flips new requests to 503.
 type Router struct {
 	cfg    Config
-	clock  Clock
+	clock  clock.Clock
 	reg    *obs.Registry
 	tracer *tracing.Tracer
 	client *http.Client

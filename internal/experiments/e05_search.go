@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"math/rand"
 
 	"repro/internal/fm"
@@ -31,9 +32,12 @@ func E5() Result {
 	tgt.MemWordsPerNode = 1 << 20
 
 	cands := search.Exhaustive2D(g, dom, tgt, search.Affine2DOptions{P: 4, MaxTau: 8})
-	bestT := search.Best(cands, search.MinTime)
-	bestE := search.Best(cands, search.MinEnergy)
-	bestEDP := search.Best(cands, search.MinEDP)
+	bestT, okT := search.BestChecked(cands, search.MinTime)
+	bestE, okE := search.BestChecked(cands, search.MinEnergy)
+	bestEDP, okEDP := search.BestChecked(cands, search.MinEDP)
+	if !okT || !okE || !okEDP {
+		return failure("E5", errors.New("the affine sweep found no mapping"))
+	}
 	front := search.Pareto(cands)
 	var serial search.Candidate
 	for _, c := range cands {
@@ -64,7 +68,10 @@ func E5() Result {
 	if err != nil {
 		return failure("E5", err)
 	}
-	_, annealed := search.Anneal(ig, tgt, search.AnnealOptions{Iters: 800, Seed: 11})
+	_, annealed, err := search.AnnealResumable(ig, tgt, search.AnnealOptions{Iters: 800, Seed: 11})
+	if err != nil {
+		return failure("E5", err)
+	}
 	t.AddRow("anneal (irregular graph)", "placement search", annealed.Cycles, annealed.EnergyFJ)
 	t.AddRow("default mapper (same graph)", "list schedule", def.Cycles, def.EnergyFJ)
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"repro/internal/fm"
 	"repro/internal/geom"
+	"repro/internal/machine"
+	"repro/internal/noc"
 	"repro/internal/stats"
 	"repro/internal/tech"
 	"repro/internal/workspan"
@@ -64,13 +66,14 @@ func E12() Result {
 	// NoC switching ablation (A2): cut-through beats store-and-forward on
 	// multi-flit messages; the model exposes switching discipline as a
 	// first-class cost.
-	ctTgt := fm.DefaultTarget(8, 1)
-	sfGap := storeForwardGap()
+	sfGap, err := storeForwardGap()
+	if err != nil {
+		return failure("E12", err)
+	}
 	okNoC := sfGap > 1.5
 	pass = pass && okNoC
 	t.AddRow("NoC ablation (A2)", "SF/CT latency, 16-flit message, 8 hops", sfGap,
 		">1.5x", verdict(okNoC))
-	_ = ctTgt
 
 	return Result{
 		ID:    "E12",
@@ -80,20 +83,18 @@ func E12() Result {
 	}
 }
 
-func storeForwardGap() float64 {
-	ct := nocLatency(false)
-	sf := nocLatency(true)
-	return sf / ct
-}
-
-func nocLatency(storeAndForward bool) float64 {
-	// 16-flit (512-bit) message over 8 hops, measured via the machine's
-	// network. Uncontended: CT pays serialization once, SF per hop.
-	cfgMode := 0
-	if storeAndForward {
-		cfgMode = 1
+// storeForwardGap sends a 16-flit (512-bit) message over 8 hops of a
+// 10x1 strip machine under each switching mode and returns the
+// store-and-forward / cut-through latency ratio. Uncontended:
+// cut-through pays serialization once, store-and-forward per hop.
+func storeForwardGap() (float64, error) {
+	var arrival [2]float64
+	for i, mode := range []noc.Mode{noc.CutThrough, noc.StoreAndForward} {
+		m, err := machine.NewChecked(machine.Config{Grid: geom.NewGrid(10, 1, 1.0), Tech: tech.N5(), NoCMode: mode})
+		if err != nil {
+			return 0, err
+		}
+		arrival[i] = m.Send(geom.Pt(0, 0), geom.Pt(8, 0), 16, "big")
 	}
-	m := newStripMachine(cfgMode)
-	arr := m.Send(geom.Pt(0, 0), geom.Pt(8, 0), 16, "big")
-	return arr
+	return arrival[1] / arrival[0], nil
 }

@@ -29,9 +29,16 @@ func E16() Result {
 	}
 	tgt := fm.DefaultTarget(p, 1)
 	tgt.MemWordsPerNode = 1 << 20
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, n, p)
+	if err != nil {
+		return failure("E16", err)
+	}
+	antidiag, err := fm.AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+	if err != nil {
+		return failure("E16", err)
+	}
 
-	systolic, err := lower.Lower(g, fm.AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0)), tgt)
+	systolic, err := lower.Lower(g, antidiag, tgt)
 	if err != nil {
 		return failure("E16", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fm"
 	"repro/internal/geom"
+	"repro/internal/machine"
 	"repro/internal/replay"
 	"repro/internal/stats"
 	"repro/internal/tech"
@@ -36,7 +37,14 @@ func E19() Result {
 	tgt.Grid.PitchMM = 0.1
 	tgt.MemWordsPerNode = 1 << 20
 
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, n, p)
+	if err != nil {
+		return failure("E19", err)
+	}
+	antidiag, err := fm.AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+	if err != nil {
+		return failure("E19", err)
+	}
 	blockedPlace := make([]geom.Point, g.NumNodes())
 	idx := make([]int, 2)
 	for nd := range blockedPlace {
@@ -47,7 +55,7 @@ func E19() Result {
 		name  string
 		sched fm.Schedule
 	}{
-		{"antidiag", fm.AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))},
+		{"antidiag", antidiag},
 		{"blocked", fm.ASAPSchedule(g, blockedPlace, tgt)},
 		{"serial", fm.SerialSchedule(g, tgt, geom.Pt(0, 0))},
 	}
@@ -66,8 +74,15 @@ func E19() Result {
 			return failure("E19", err)
 		}
 		minSlack := fm.SummarizeSlack(edges).Min
+		run := func(inj *fault.Injector) (machine.Metrics, error) {
+			m, err := replay.MachineFor(tgt, inj, nil)
+			if err != nil {
+				return machine.Metrics{}, err
+			}
+			return replay.Run(g, mp.sched, tgt, m)
+		}
 
-		base, err := replay.Run(g, mp.sched, tgt, replay.MachineFor(tgt, nil, nil))
+		base, err := run(nil)
 		if err != nil {
 			return failure("E19", err)
 		}
@@ -76,7 +91,7 @@ func E19() Result {
 		if err != nil {
 			return failure("E19", err)
 		}
-		zero, err := replay.Run(g, mp.sched, tgt, replay.MachineFor(tgt, zeroInj, nil))
+		zero, err := run(zeroInj)
 		if err != nil {
 			return failure("E19", err)
 		}
@@ -90,7 +105,7 @@ func E19() Result {
 			if err != nil {
 				return failure("E19", err)
 			}
-			got, err := replay.Run(g, mp.sched, tgt, replay.MachineFor(tgt, inj, nil))
+			got, err := run(inj)
 			if err != nil {
 				return failure("E19", err)
 			}

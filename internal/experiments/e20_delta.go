@@ -39,7 +39,7 @@ func E20() Result {
 
 	// Wall-clock timing, best of three (robust to scheduling noise, like
 	// E8). moves/sec = iterations / elapsed for the single chain.
-	timeAnneal := func(disableDelta bool) (fm.Schedule, fm.Cost, float64) {
+	timeAnneal := func(disableDelta bool) (fm.Schedule, fm.Cost, float64, error) {
 		o := opts
 		o.DisableDelta = disableDelta
 		var sched fm.Schedule
@@ -47,16 +47,26 @@ func E20() Result {
 		var best time.Duration = 1<<62 - 1
 		for rep := 0; rep < 3; rep++ {
 			start := time.Now()
-			sched, cost = search.Anneal(g, tgt, o)
+			var err error
+			sched, cost, err = search.AnnealResumable(g, tgt, o)
+			if err != nil {
+				return nil, fm.Cost{}, 0, err
+			}
 			if d := time.Since(start); d < best {
 				best = d
 			}
 		}
-		return sched, cost, float64(iters) / best.Seconds()
+		return sched, cost, float64(iters) / best.Seconds(), nil
 	}
 
-	fullSched, fullCost, fullRate := timeAnneal(true)
-	deltaSched, deltaCost, deltaRate := timeAnneal(false)
+	fullSched, fullCost, fullRate, err := timeAnneal(true)
+	if err != nil {
+		return failure("E20", err)
+	}
+	deltaSched, deltaCost, deltaRate, err := timeAnneal(false)
+	if err != nil {
+		return failure("E20", err)
+	}
 	speedup := deltaRate / fullRate
 	equal := fullCost == deltaCost && reflect.DeepEqual(fullSched, deltaSched)
 

@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"repro/internal/obs"
+	"repro/internal/splitmix"
 )
 
 // Class distinguishes the fault sites of the three injected fault kinds.
@@ -125,7 +126,7 @@ func New(cfg Config) (*Injector, error) {
 	cfg = cfg.withDefaults()
 	return &Injector{
 		cfg:  cfg,
-		seed: mix(uint64(cfg.Seed) ^ 0xfa177a617a617fa),
+		seed: splitmix.Mix64(uint64(cfg.Seed) ^ 0xfa177a617a617fa),
 		seq:  make(map[uint64]uint64),
 	}, nil
 }
@@ -179,20 +180,10 @@ func Site(class Class, a, b int) uint64 {
 	return uint64(class)<<58 ^ uint64(uint32(a))<<29 ^ uint64(uint32(b))
 }
 
-// mix is the splitmix64 finalizer: a bijective avalanche over uint64.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // uniform returns draw k at site as a uniform in [0, 1), a pure function
 // of (seed, site, k).
 func (in *Injector) uniform(site, k uint64) float64 {
-	h := mix(in.seed ^ mix(site+0x9e3779b97f4a7c15*k))
+	h := splitmix.Mix64(in.seed ^ splitmix.Mix64(site+0x9e3779b97f4a7c15*k))
 	return float64(h>>11) / (1 << 53)
 }
 

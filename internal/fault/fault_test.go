@@ -123,6 +123,25 @@ func TestScheduleMatchesQueries(t *testing.T) {
 	}
 }
 
+// TestScheduleGolden pins one site's exact fault decisions. The other
+// schedule tests compare runs with each other, so a changed mixer would
+// pass them all; this one fails.
+func TestScheduleGolden(t *testing.T) {
+	in := mustNew(t, Config{Seed: 7, Rate: 0.25})
+	const want = "0100000100000000010100000000000000000110000000000000001000111000"
+	got := make([]byte, 0, len(want))
+	for _, v := range in.Schedule(Site(ClassStall, 3, 4), len(want)) {
+		if v {
+			got = append(got, '1')
+		} else {
+			got = append(got, '0')
+		}
+	}
+	if string(got) != want {
+		t.Fatalf("schedule\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestDropRetriesBounded(t *testing.T) {
 	in := mustNew(t, Config{Seed: 5, Rate: 1, MaxRetries: 4, BackoffPS: 100})
 	r, b := in.Drop(0, 1)

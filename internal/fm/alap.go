@@ -72,23 +72,12 @@ func ALAPScheduleChecked(g *Graph, place []geom.Point, tgt Target, deadline int6
 	return sched, nil
 }
 
-// ALAPSchedule is ALAPScheduleChecked for callers that have already
-// established feasibility (e.g. deadline is a known makespan); it
-// panics on the errors ALAPScheduleChecked would return.
-func ALAPSchedule(g *Graph, place []geom.Point, tgt Target, deadline int64) Schedule {
-	sched, err := ALAPScheduleChecked(g, place, tgt, deadline)
-	if err != nil {
-		//lint:allow panic(documented convenience wrapper; ALAPScheduleChecked returns the error)
-		panic(err.Error())
-	}
-	return sched
-}
-
 // Slack returns, per node, the scheduling freedom under the given
 // placement: ALAP start minus ASAP start when the deadline is exactly
 // the ASAP schedule's completion. Zero-slack nodes form the critical
-// path; everything else can slide to save energy or storage.
-func Slack(g *Graph, place []geom.Point, tgt Target) []int64 {
+// path; everything else can slide to save energy or storage. It returns
+// ALAPScheduleChecked's error if the ALAP pass fails.
+func Slack(g *Graph, place []geom.Point, tgt Target) ([]int64, error) {
 	tgt = tgt.withDefaults()
 	asap := ASAPSchedule(g, place, tgt)
 	// Completion: last finish or arrival.
@@ -98,10 +87,13 @@ func Slack(g *Graph, place []geom.Point, tgt Target) []int64 {
 			deadline = f
 		}
 	}
-	alap := ALAPSchedule(g, place, tgt, deadline)
+	alap, err := ALAPScheduleChecked(g, place, tgt, deadline)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]int64, g.NumNodes())
 	for n := range out {
 		out[n] = alap[n].Time - asap[n].Time
 	}
-	return out
+	return out, nil
 }

@@ -107,8 +107,14 @@ func TestAntiDiagonalLegalAcrossP(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 4, 8} {
 		tgt := DefaultTarget(p, 1)
-		stride := MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
-		sched := AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))
+		stride, err := MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := Check(g, sched, tgt); err != nil {
 			t.Errorf("P=%d stride=%d: %v", p, stride, err)
 		}
@@ -128,8 +134,14 @@ func TestAntiDiagonalSpeedsUpWithP(t *testing.T) {
 	for i, p := range []int{2, 4, 8} {
 		tgt := DefaultTarget(p, 1)
 		tgt.MemWordsPerNode = 1 << 20
-		stride := MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
-		sched := AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))
+		stride, err := MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
 		c, err := Evaluate(g, sched, tgt, EvalOptions{})
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
@@ -153,8 +165,14 @@ func TestAntiDiagonalNearestNeighbourOnly(t *testing.T) {
 	p := 4
 	tgt := DefaultTarget(p, 1)
 	tgt.MemWordsPerNode = 1 << 20
-	stride := MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
-	sched := AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))
+	stride, err := MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, err := Evaluate(g, sched, tgt, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -180,18 +198,29 @@ func TestScheduleByIndex(t *testing.T) {
 	}
 }
 
-func TestAntiDiagonalPanics(t *testing.T) {
+func TestAntiDiagonalRejectsBadArgs(t *testing.T) {
 	_, dom2, _ := editRec(3).Materialize()
-	assertPanics(t, "bad p", func() { AntiDiagonalSchedule(dom2, 0, 1, geom.Pt(0, 0)) })
-	assertPanics(t, "bad stride", func() { AntiDiagonalSchedule(dom2, 1, 0, geom.Pt(0, 0)) })
 	_, dom3, err := Recurrence{Name: "r3", Dims: []int{2, 2, 2}, Op: tech.OpAdd, Bits: 32}.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPanics(t, "bad rank", func() { AntiDiagonalSchedule(dom3, 2, 1, geom.Pt(0, 0)) })
-	assertPanics(t, "bad stride args", func() {
-		MinAntiDiagonalStride(DefaultTarget(2, 2), tech.OpAdd, 32, 0, 2)
-	})
+	for _, tc := range []struct {
+		name   string
+		dom    *Domain
+		p      int
+		stride int64
+	}{
+		{"bad p", dom2, 0, 1},
+		{"bad stride", dom2, 1, 0},
+		{"bad rank", dom3, 2, 1},
+	} {
+		if _, err := AntiDiagonalScheduleChecked(tc.dom, tc.p, tc.stride, geom.Pt(0, 0)); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := MinAntiDiagonalStrideChecked(DefaultTarget(2, 2), tech.OpAdd, 32, 0, 2); err == nil {
+		t.Error("bad stride args: accepted")
+	}
 }
 
 func TestMaterializeInvalid(t *testing.T) {

@@ -34,7 +34,7 @@ func TestCheckpointedRunMatchesPlainRun(t *testing.T) {
 	g, tgt := annealFixture(t)
 	opts := AnnealOptions{Iters: 400, Seed: 11, Chains: 3, ExchangeEvery: 100, Workers: 1}
 
-	plainSched, plainCost := Anneal(g, tgt, opts)
+	plainSched, plainCost := mustAnneal(t, g, tgt, opts)
 
 	cpPath := filepath.Join(t.TempDir(), "anneal.ckpt")
 	opts.CheckpointPath = cpPath

@@ -47,7 +47,7 @@ func TestExhaustive2DDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("n=%d workers=%d: Pareto fronts disagree", n, workers)
 			}
 			for _, obj := range []Objective{MinTime, MinEnergy, MinEDP, MinFootprint} {
-				if !reflect.DeepEqual(Best(serial, obj), Best(par, obj)) {
+				if !reflect.DeepEqual(mustBest(t, serial, obj), mustBest(t, par, obj)) {
 					t.Fatalf("n=%d workers=%d: Best(%v) disagrees", n, workers, obj)
 				}
 			}
@@ -82,10 +82,10 @@ func TestAnnealDeterministicAcrossWorkers(t *testing.T) {
 			opts := AnnealOptions{Iters: 400, Seed: seed, Chains: 4, ExchangeEvery: 100}
 
 			opts.Workers = 1
-			serialSched, serialCost := Anneal(g, tgt, opts)
+			serialSched, serialCost := mustAnneal(t, g, tgt, opts)
 			for _, workers := range []int{2, 4, 8} {
 				opts.Workers = workers
-				sched, cost := Anneal(g, tgt, opts)
+				sched, cost := mustAnneal(t, g, tgt, opts)
 				if cost != serialCost {
 					t.Fatalf("seed=%d size=%d: workers=1 cost %v, workers=%d cost %v",
 						seed, size, serialCost, workers, cost)
@@ -125,7 +125,7 @@ func TestAnnealDeltaMatrixBitIdentical(t *testing.T) {
 				opts := base
 				opts.Workers = c.workers
 				opts.DisableDelta = c.disable
-				sched, cost := Anneal(g, tgt, opts)
+				sched, cost := mustAnneal(t, g, tgt, opts)
 				if i == 0 {
 					refSched, refCost = sched, cost
 					continue
@@ -152,7 +152,7 @@ func TestAnnealDeltaCrossEngineResume(t *testing.T) {
 	tgt := fm.DefaultTarget(4, 1)
 	g := randomGraph(17, 40)
 	base := AnnealOptions{Iters: 300, Seed: 17, Chains: 2, ExchangeEvery: 100, Workers: 1}
-	wantSched, wantCost := Anneal(g, tgt, base)
+	wantSched, wantCost := mustAnneal(t, g, tgt, base)
 
 	for _, firstDelta := range []bool{true, false} {
 		dir := t.TempDir()
@@ -207,10 +207,10 @@ func TestAnnealDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	tgt := fm.DefaultTarget(4, 1)
 	g := randomGraph(13, 40)
 	opts := AnnealOptions{Iters: 300, Seed: 13, Chains: 3, ExchangeEvery: 75}
-	_, ref := Anneal(g, tgt, opts)
+	_, ref := mustAnneal(t, g, tgt, opts)
 	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		_, got := Anneal(g, tgt, opts)
+		_, got := mustAnneal(t, g, tgt, opts)
 		runtime.GOMAXPROCS(prev)
 		if got != ref {
 			t.Fatalf("GOMAXPROCS=%d changed the result: %v vs %v", procs, got, ref)
@@ -223,8 +223,8 @@ func TestAnnealSingleChainMatchesClassic(t *testing.T) {
 	// trajectory, same best — the multi-chain machinery degenerates away.
 	tgt := fm.DefaultTarget(3, 1)
 	g := randomGraph(9, 30)
-	s1, c1 := Anneal(g, tgt, AnnealOptions{Iters: 200, Seed: 11})
-	s2, c2 := Anneal(g, tgt, AnnealOptions{Iters: 200, Seed: 11, Chains: 1, Workers: 8})
+	s1, c1 := mustAnneal(t, g, tgt, AnnealOptions{Iters: 200, Seed: 11})
+	s2, c2 := mustAnneal(t, g, tgt, AnnealOptions{Iters: 200, Seed: 11, Chains: 1, Workers: 8})
 	if c1 != c2 || !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("single-chain results diverged: %v vs %v", c1, c2)
 	}
@@ -237,8 +237,8 @@ func TestAnnealChainsShiftSeeds(t *testing.T) {
 	// than the single-chain search under the same Seed.
 	tgt := fm.DefaultTarget(4, 1)
 	g := randomGraph(5, 50)
-	_, single := Anneal(g, tgt, AnnealOptions{Iters: 300, Seed: 21})
-	_, multi := Anneal(g, tgt, AnnealOptions{Iters: 300, Seed: 21, Chains: 4, ExchangeEvery: -1})
+	_, single := mustAnneal(t, g, tgt, AnnealOptions{Iters: 300, Seed: 21})
+	_, multi := mustAnneal(t, g, tgt, AnnealOptions{Iters: 300, Seed: 21, Chains: 4, ExchangeEvery: -1})
 	if multi.Cycles > single.Cycles {
 		t.Errorf("4 chains (%d cycles) worse than the chain-0 baseline (%d cycles)",
 			multi.Cycles, single.Cycles)

@@ -21,7 +21,7 @@ func TestProgressFinalRecordMatchesReturnedCost(t *testing.T) {
 		Iters: 400, Seed: 9, Chains: 3, ExchangeEvery: 100, Workers: 2,
 		OnProgress: func(p Progress) { records = append(records, p) },
 	}
-	_, cost := Anneal(g, tgt, opts)
+	_, cost := mustAnneal(t, g, tgt, opts)
 
 	if len(records) < 2 {
 		t.Fatalf("only %d progress records for a 4-segment run", len(records))
@@ -79,12 +79,12 @@ func TestProgressObserversDoNotChangeResults(t *testing.T) {
 	tgt.MemWordsPerNode = 1 << 20
 	base := AnnealOptions{Iters: 300, Seed: 17, Chains: 3, ExchangeEvery: 75, Workers: 2}
 
-	plainSched, plainCost := Anneal(g, tgt, base)
+	plainSched, plainCost := mustAnneal(t, g, tgt, base)
 
 	observed := base
 	observed.OnProgress = func(Progress) {}
 	observed.Obs = obs.New()
-	obsSched, obsCost := Anneal(g, tgt, observed)
+	obsSched, obsCost := mustAnneal(t, g, tgt, observed)
 
 	if !reflect.DeepEqual(plainSched, obsSched) || plainCost != obsCost {
 		t.Fatal("progress observation changed the search result")
@@ -93,9 +93,9 @@ func TestProgressObserversDoNotChangeResults(t *testing.T) {
 	// Single chain too: observation forces barriers, which must still
 	// reproduce the uninterrupted single-chain trajectory.
 	single := AnnealOptions{Iters: 300, Seed: 17, ExchangeEvery: 75}
-	s1, c1 := Anneal(g, tgt, single)
+	s1, c1 := mustAnneal(t, g, tgt, single)
 	single.OnProgress = func(Progress) {}
-	s2, c2 := Anneal(g, tgt, single)
+	s2, c2 := mustAnneal(t, g, tgt, single)
 	if !reflect.DeepEqual(s1, s2) || c1 != c2 {
 		t.Fatal("observing a single-chain run changed its result")
 	}
@@ -111,7 +111,7 @@ func TestAnnealObsGauges(t *testing.T) {
 		Iters: 200, Seed: 5, Chains: 2, ExchangeEvery: 50,
 		Obs: r, Cache: cache,
 	}
-	_, cost := Anneal(g, tgt, opts)
+	_, cost := mustAnneal(t, g, tgt, opts)
 	snap := r.Snapshot()
 	if got, want := snap.Gauges["search.anneal.best_objective"], opts.Objective.Value(cost); got != want {
 		t.Fatalf("search.anneal.best_objective = %g, want %g", got, want)
@@ -175,10 +175,10 @@ func TestBoundedEvalCacheEvicts(t *testing.T) {
 	// cache hard enough to force evictions; the delta path touches it only
 	// at init and on new bests.
 	opts := AnnealOptions{Iters: 300, Seed: 23, Chains: 2, ExchangeEvery: 100, Cache: cache, DisableDelta: true}
-	_, bounded := Anneal(g, tgt, opts)
+	_, bounded := mustAnneal(t, g, tgt, opts)
 
 	opts.Cache = NewEvalCache()
-	_, unbounded := Anneal(g, tgt, opts)
+	_, unbounded := mustAnneal(t, g, tgt, opts)
 	if bounded != unbounded {
 		t.Fatalf("bounded cache changed the search result: %+v vs %+v", bounded, unbounded)
 	}

@@ -34,7 +34,7 @@ func TestAnnealResultLegalAcrossSeedsAndChains(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		for _, chains := range []int{1, 3} {
 			g := randomGraph(seed, 40)
-			sched, cost := Anneal(g, tgt, AnnealOptions{
+			sched, cost := mustAnneal(t, g, tgt, AnnealOptions{
 				Iters: 150, Seed: seed, Chains: chains, ExchangeEvery: 50, Workers: 4,
 			})
 			if err := fm.Check(g, sched, tgt); err != nil {

@@ -8,10 +8,10 @@
 // Two searchers are provided. Exhaustive2D enumerates an affine mapping
 // family for 2-D uniform recurrences — place (a1*i+a2*j) mod P on a
 // linear array, time t1*i+t2*j — keeping every legal candidate and its
-// cost, from which Pareto returns the time/energy frontier. Anneal
-// improves the mapping of an arbitrary dataflow graph by local search
-// over placements only; start times are always re-derived by an ASAP
-// (as-soon-as-possible) pass, so every candidate is legal by
+// cost, from which Pareto returns the time/energy frontier.
+// AnnealResumable improves the mapping of an arbitrary dataflow graph by
+// local search over placements only; start times are always re-derived
+// by an ASAP (as-soon-as-possible) pass, so every candidate is legal by
 // construction and the search space is pure space, never space-time.
 //
 // Both searchers practice what the paper preaches: candidate evaluation
@@ -19,10 +19,10 @@
 // fork-join runtime) and repeated candidates are priced once through a
 // shared EvalCache. Parallelism never changes answers. Exhaustive2D
 // assigns every enumerated tuple a fixed index and merges results in
-// index order; Anneal gives each chain its own rand.Source seeded from
-// the caller's seed and exchanges bests only at deterministic iteration
-// barriers. For any Workers value — including the serial Workers=1 path —
-// results are byte-identical.
+// index order; AnnealResumable gives each chain its own rand.Source
+// seeded from the caller's seed and exchanges bests only at
+// deterministic iteration barriers. For any Workers value — including
+// the serial Workers=1 path — results are byte-identical.
 package search
 
 import (
@@ -142,8 +142,8 @@ type AnnealOptions struct {
 	// every value — parallelism only changes the wall clock.
 	Workers int
 	// Cache memoizes candidate evaluations across chains and workers. If
-	// nil, Anneal creates a private cache for the run, so a mapping
-	// re-proposed by any chain is priced once.
+	// nil, AnnealResumable creates a private cache for the run, so a
+	// mapping re-proposed by any chain is priced once.
 	Cache *EvalCache
 	// CheckpointPath, when non-empty, writes a crash-safe snapshot
 	// (JSON, atomic tmp+rename) after every exchange barrier, so a
@@ -369,40 +369,31 @@ func (ch *chain) step(g *fm.Graph, gfp uint64, tgt fm.Target, obj Objective, cac
 	ch.temp *= ch.cool
 }
 
-// Anneal searches placements of g on tgt by simulated annealing, starting
-// every chain from the default mapper's placement. Moves relocate one
-// node to a random grid point; times are re-derived by ASAP so every
-// candidate is legal. With Chains > 1 it runs that many independent
-// chains (each with its own RNG stream, optionally on parallel workers)
-// and periodically broadcasts the global best; the returned schedule is
-// the best over all chains, ties broken by lowest chain index. The result
-// depends only on the options, never on Workers or GOMAXPROCS.
-//
-// Anneal cannot fail unless checkpointing or resuming is requested; it
-// panics on the errors AnnealResumable would report.
-func Anneal(g *fm.Graph, tgt fm.Target, opts AnnealOptions) (fm.Schedule, fm.Cost) {
-	sched, cost, err := AnnealResumable(g, tgt, opts)
-	if err != nil {
-		//lint:allow panic(documented convenience wrapper; AnnealResumable returns the error)
-		panic(fmt.Sprintf("search: %v", err))
-	}
-	return sched, cost
-}
-
 // testBarrierHook, when non-nil, runs after each barrier's checkpoint is
 // committed, with the number of iterations completed. Tests use it to
 // capture mid-run snapshots; it must stay nil outside tests.
 var testBarrierHook func(done int)
 
-// AnnealResumable is Anneal with crash-safe checkpointing. When
-// opts.CheckpointPath is set, a snapshot of every chain (schedules plus
-// exact RNG position) is committed atomically at each exchange barrier;
-// when opts.Resume is also set, the search restores that snapshot and
-// continues, and the final (schedule, cost) is bit-identical to an
-// uninterrupted run with the same options — the RNG streams are
-// fast-forwarded by recorded draw counts, costs are re-priced by the
-// deterministic evaluator, and the cooling schedule is replayed, so no
-// state is approximated across the crash.
+// AnnealResumable searches placements of g on tgt by simulated
+// annealing, starting every chain from the default mapper's placement.
+// Moves relocate one node to a random grid point; times are re-derived
+// by ASAP so every candidate is legal. With Chains > 1 it runs that many
+// independent chains (each with its own RNG stream, optionally on
+// parallel workers) and periodically broadcasts the global best; the
+// returned schedule is the best over all chains, ties broken by lowest
+// chain index. The result depends only on the options, never on Workers
+// or GOMAXPROCS. Errors come from checkpointing, resuming, a malformed
+// opts.InitSchedule, or opts.Context ending, which also returns the best
+// mapping found so far.
+//
+// When opts.CheckpointPath is set, a snapshot of every chain (schedules
+// plus exact RNG position) is committed atomically at each exchange
+// barrier; when opts.Resume is also set, the search restores that
+// snapshot and continues, and the final (schedule, cost) is
+// bit-identical to an uninterrupted run with the same options — the RNG
+// streams are fast-forwarded by recorded draw counts, costs are
+// re-priced by the deterministic evaluator, and the cooling schedule is
+// replayed, so no state is approximated across the crash.
 func AnnealResumable(g *fm.Graph, tgt fm.Target, opts AnnealOptions) (fm.Schedule, fm.Cost, error) {
 	opts = opts.withDefaults()
 	cache := opts.Cache
@@ -905,18 +896,6 @@ func BestChecked(cands []Candidate, obj Objective) (Candidate, bool) {
 		}
 	}
 	return best, true
-}
-
-// Best is BestChecked for callers that know cands is non-empty (e.g. an
-// Exhaustive2D result, which always contains the serial candidate); it
-// panics on an empty slice.
-func Best(cands []Candidate, obj Objective) Candidate {
-	best, ok := BestChecked(cands, obj)
-	if !ok {
-		//lint:allow panic(documented convenience wrapper; BestChecked reports the empty case)
-		panic("search: Best of no candidates")
-	}
-	return best
 }
 
 // Pareto returns the time/energy Pareto front of cands: candidates not

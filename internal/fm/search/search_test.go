@@ -25,6 +25,27 @@ func smallRec(t *testing.T, n int) (*fm.Graph, *fm.Domain) {
 	return g, dom
 }
 
+// mustAnneal is AnnealResumable for options that cannot fail: no
+// checkpoint, no resume, no cancellable context.
+func mustAnneal(t *testing.T, g *fm.Graph, tgt fm.Target, opts AnnealOptions) (fm.Schedule, fm.Cost) {
+	t.Helper()
+	sched, cost, err := AnnealResumable(g, tgt, opts)
+	if err != nil {
+		t.Fatalf("anneal: %v", err)
+	}
+	return sched, cost
+}
+
+// mustBest is BestChecked for a candidate set known to be non-empty.
+func mustBest(t *testing.T, cands []Candidate, obj Objective) Candidate {
+	t.Helper()
+	c, ok := BestChecked(cands, obj)
+	if !ok {
+		t.Fatalf("no candidates to elect a best by %v from", obj)
+	}
+	return c
+}
+
 func randomGraph(seed int64, ops int) *fm.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := fm.NewBuilder("rand")
@@ -77,7 +98,7 @@ func TestAnnealImprovesOrMatchesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, cost := Anneal(g, tgt, AnnealOptions{Iters: 300, Seed: 42})
+	sched, cost := mustAnneal(t, g, tgt, AnnealOptions{Iters: 300, Seed: 42})
 	if err := fm.Check(g, sched, tgt); err != nil {
 		t.Fatalf("annealed schedule illegal: %v", err)
 	}
@@ -91,7 +112,7 @@ func TestAnnealEnergyObjectivePrefersLocality(t *testing.T) {
 	// co-located), even if that serializes execution.
 	tgt := fm.DefaultTarget(4, 1)
 	g := randomGraph(5, 40)
-	_, cost := Anneal(g, tgt, AnnealOptions{Iters: 1500, Seed: 7, Objective: MinEnergy})
+	_, cost := mustAnneal(t, g, tgt, AnnealOptions{Iters: 1500, Seed: 7, Objective: MinEnergy})
 	if cost.WireEnergy != 0 {
 		t.Errorf("energy-optimal mapping still moves data: wire = %g fJ", cost.WireEnergy)
 	}
@@ -100,8 +121,8 @@ func TestAnnealEnergyObjectivePrefersLocality(t *testing.T) {
 func TestAnnealDeterministic(t *testing.T) {
 	tgt := fm.DefaultTarget(3, 1)
 	g := randomGraph(9, 30)
-	_, c1 := Anneal(g, tgt, AnnealOptions{Iters: 200, Seed: 11})
-	_, c2 := Anneal(g, tgt, AnnealOptions{Iters: 200, Seed: 11})
+	_, c1 := mustAnneal(t, g, tgt, AnnealOptions{Iters: 200, Seed: 11})
+	_, c2 := mustAnneal(t, g, tgt, AnnealOptions{Iters: 200, Seed: 11})
 	if c1.Cycles != c2.Cycles || c1.EnergyFJ != c2.EnergyFJ {
 		t.Errorf("same seed diverged: %v vs %v", c1, c2)
 	}
@@ -121,7 +142,7 @@ func TestExhaustive2DFindsParallelMapping(t *testing.T) {
 			t.Fatalf("candidate %q illegal: %v", c.Name, err)
 		}
 	}
-	best := Best(cands, MinTime)
+	best := mustBest(t, cands, MinTime)
 	var serial Candidate
 	for _, c := range cands {
 		if c.Name == "serial" {
@@ -135,7 +156,7 @@ func TestExhaustive2DFindsParallelMapping(t *testing.T) {
 		t.Errorf("search failed to beat serial: best %d vs serial %d cycles", best.Cost.Cycles, serial.Cost.Cycles)
 	}
 	// Energy objective should pick a zero-wire mapping.
-	bestE := Best(cands, MinEnergy)
+	bestE := mustBest(t, cands, MinEnergy)
 	if bestE.Cost.WireEnergy != 0 {
 		t.Errorf("energy-best candidate moves data: %v", bestE.Cost)
 	}
@@ -223,15 +244,6 @@ func TestObjectiveValues(t *testing.T) {
 	if Objective(9).String() != "Objective(9)" {
 		t.Error("unknown objective string")
 	}
-}
-
-func TestBestPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Best(nil, MinTime)
 }
 
 func min(a, b int) int {

@@ -26,8 +26,14 @@ func slackFixture(t *testing.T, n, p int) (*Graph, *Domain, Target) {
 
 func TestSlackNonNegativeForLegalSchedule(t *testing.T) {
 	g, dom, tgt := slackFixture(t, 8, 4)
-	stride := MinAntiDiagonalStride(tgt, tech.OpAdd, 32, 8, 4)
-	sched := AntiDiagonalSchedule(dom, 4, stride, geom.Pt(0, 0))
+	stride, err := MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := AntiDiagonalScheduleChecked(dom, 4, stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := Check(g, sched, tgt); err != nil {
 		t.Fatalf("fixture illegal: %v", err)
 	}
@@ -49,8 +55,14 @@ func TestSlackNonNegativeForLegalSchedule(t *testing.T) {
 
 func TestSlackDetectsViolatedEdge(t *testing.T) {
 	g, dom, tgt := slackFixture(t, 6, 4)
-	stride := MinAntiDiagonalStride(tgt, tech.OpAdd, 32, 6, 4)
-	sched := AntiDiagonalSchedule(dom, 4, stride, geom.Pt(0, 0))
+	stride, err := MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, 6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := AntiDiagonalScheduleChecked(dom, 4, stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Pull one late compute node impossibly early: slack goes negative on
 	// exactly the edges into it, matching Check's CausalityError.
 	var victim NodeID = -1
@@ -96,8 +108,14 @@ func TestSlackAbsorbsUniformDelay(t *testing.T) {
 	g, dom, tgt := slackFixture(t, 6, 4)
 	// A deliberately padded schedule: anti-diagonal with double the
 	// minimum stride, so every edge has spare cycles.
-	stride := 2 * MinAntiDiagonalStride(tgt, tech.OpAdd, 32, 6, 4)
-	sched := AntiDiagonalSchedule(dom, 4, stride, geom.Pt(0, 0))
+	stride, err := MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, 6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := AntiDiagonalScheduleChecked(dom, 4, 2*stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := Check(g, sched, tgt); err != nil {
 		t.Fatalf("padded fixture illegal: %v", err)
 	}

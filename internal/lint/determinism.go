@@ -23,6 +23,7 @@ var criticalPkgs = map[string]bool{
 	"repro/internal/store":       true,
 	"repro/internal/obs/tracing": true,
 	"repro/internal/cluster":     true,
+	"repro/internal/clock":       true,
 }
 
 // randConstructors are the math/rand top-level functions that build

@@ -130,17 +130,6 @@ func NewChecked(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// New is NewChecked for callers with statically known-good
-// configurations; it panics on the errors NewChecked would return.
-func New(cfg Config) *Machine {
-	m, err := NewChecked(cfg)
-	if err != nil {
-		//lint:allow panic(documented convenience wrapper; NewChecked returns the error)
-		panic(err.Error())
-	}
-	return m
-}
-
 // Config returns the machine's (defaulted) configuration.
 func (m *Machine) Config() Config { return m.cfg }
 

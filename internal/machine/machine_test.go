@@ -15,7 +15,16 @@ func testMachine(opts ...func(*Config)) *Machine {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return New(cfg)
+	return mustNew(cfg)
+}
+
+// mustNew is NewChecked for configurations a test knows are valid.
+func mustNew(cfg Config) *Machine {
+	m, err := NewChecked(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func TestComputeAdvancesClockAndEnergy(t *testing.T) {
@@ -95,7 +104,10 @@ func TestTransport1mmCosts160xAdd(t *testing.T) {
 		// paper's 160x is a pure wire-vs-adder comparison.
 		_ = c
 	})
-	net := noc.New(noc.Config{Grid: m.Config().Grid, Tech: m.Config().Tech, RouterEnergyPerBit: -1})
+	net, err := noc.NewChecked(noc.Config{Grid: m.Config().Grid, Tech: m.Config().Tech, RouterEnergyPerBit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	_ = net // router energy cannot be disabled via defaulting; use TransferCost minus router term
 
 	m.Compute(geom.Pt(0, 0), tech.OpAdd, 32, "add")
@@ -197,7 +209,7 @@ func TestMetricsIncludesInFlightMessages(t *testing.T) {
 
 func TestTraceRecording(t *testing.T) {
 	tr := trace.New()
-	m := New(Config{Grid: geom.NewGrid(4, 4, 1), Tech: tech.N5(), Trace: tr})
+	m := mustNew(Config{Grid: geom.NewGrid(4, 4, 1), Tech: tech.N5(), Trace: tr})
 	m.Compute(geom.Pt(0, 0), tech.OpAdd, 32, "x")
 	m.Send(geom.Pt(0, 0), geom.Pt(1, 0), 1, "x")
 	m.MemAccess(geom.Pt(0, 0), 1, "x")
@@ -216,7 +228,7 @@ func TestTraceRecording(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	tr := trace.New()
-	m := New(Config{Grid: geom.NewGrid(4, 4, 1), Tech: tech.N5(), Trace: tr})
+	m := mustNew(Config{Grid: geom.NewGrid(4, 4, 1), Tech: tech.N5(), Trace: tr})
 	m.Compute(geom.Pt(0, 0), tech.OpAdd, 32, "")
 	m.Send(geom.Pt(0, 0), geom.Pt(1, 1), 1, "")
 	m.Reset()
@@ -233,7 +245,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	m := New(Config{Grid: geom.NewGrid(2, 2, 1), Tech: tech.N5()})
+	m := mustNew(Config{Grid: geom.NewGrid(2, 2, 1), Tech: tech.N5()})
 	cfg := m.Config()
 	if cfg.WordBits != 32 || cfg.MemWordsPerNode != 16384 {
 		t.Errorf("defaults not applied: %+v", cfg)
@@ -246,7 +258,9 @@ func TestPanics(t *testing.T) {
 	assertPanics(t, "bad send words", func() { m.Send(geom.Pt(0, 0), geom.Pt(1, 0), -1, "") })
 	assertPanics(t, "bad offchip words", func() { m.OffChip(geom.Pt(0, 0), 0, "") })
 	assertPanics(t, "off-grid node", func() { m.Compute(geom.Pt(99, 0), tech.OpAdd, 32, "") })
-	assertPanics(t, "bad tech", func() { New(Config{Grid: geom.NewGrid(2, 2, 1)}) })
+	if _, err := NewChecked(Config{Grid: geom.NewGrid(2, 2, 1)}); err == nil {
+		t.Error("bad tech: NewChecked accepted a config without technology parameters")
+	}
 }
 
 func assertPanics(t *testing.T, name string, f func()) {

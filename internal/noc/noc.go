@@ -187,17 +187,6 @@ func NewChecked(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// New is NewChecked for callers with statically known-good
-// configurations; it panics on the errors NewChecked would return.
-func New(cfg Config) *Network {
-	n, err := NewChecked(cfg)
-	if err != nil {
-		//lint:allow panic(documented convenience wrapper; NewChecked returns the error)
-		panic(err.Error())
-	}
-	return n
-}
-
 // stat returns the mutable stat record for a link, creating it on first
 // traversal.
 func (n *Network) stat(l link) *linkStat {

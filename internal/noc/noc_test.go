@@ -9,8 +9,17 @@ import (
 	"repro/internal/trace"
 )
 
+// mustNew is NewChecked for configurations a test knows are valid.
+func mustNew(cfg Config) *Network {
+	n, err := NewChecked(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 func testNet(mode Mode) *Network {
-	return New(Config{
+	return mustNew(Config{
 		Grid: geom.NewGrid(8, 8, 1.0),
 		Tech: tech.N5(),
 		Mode: mode,
@@ -184,7 +193,7 @@ func TestStatsAndReset(t *testing.T) {
 
 func TestSendTraces(t *testing.T) {
 	tr := trace.New()
-	n := New(Config{Grid: geom.NewGrid(4, 4, 1), Tech: tech.N5(), Trace: tr})
+	n := mustNew(Config{Grid: geom.NewGrid(4, 4, 1), Tech: tech.N5(), Trace: tr})
 	n.Send(0, geom.Pt(0, 0), geom.Pt(3, 3), 32)
 	if tr.Len() != 1 {
 		t.Fatalf("trace len = %d", tr.Len())
@@ -196,7 +205,7 @@ func TestSendTraces(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	n := New(Config{Grid: geom.NewGrid(2, 2, 1), Tech: tech.N5()})
+	n := mustNew(Config{Grid: geom.NewGrid(2, 2, 1), Tech: tech.N5()})
 	cfg := n.Config()
 	if cfg.LinkWidthBits != 32 || cfg.RouterDelayPS != 100 || cfg.RouterEnergyPerBit != 8 {
 		t.Errorf("defaults not applied: %+v", cfg)
@@ -209,7 +218,9 @@ func TestPanics(t *testing.T) {
 	assertPanics(t, "off-grid dst", func() { n.Send(0, geom.Pt(0, 0), geom.Pt(8, 0), 32) })
 	assertPanics(t, "zero bits", func() { n.Send(0, geom.Pt(0, 0), geom.Pt(1, 0), 0) })
 	assertPanics(t, "negative time", func() { n.Send(-1, geom.Pt(0, 0), geom.Pt(1, 0), 32) })
-	assertPanics(t, "bad tech", func() { New(Config{Grid: geom.NewGrid(2, 2, 1)}) })
+	if _, err := NewChecked(Config{Grid: geom.NewGrid(2, 2, 1)}); err == nil {
+		t.Error("bad tech: NewChecked accepted a config without technology parameters")
+	}
 }
 
 func TestModeString(t *testing.T) {

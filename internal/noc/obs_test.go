@@ -85,7 +85,7 @@ func TestLinkHeatmapEmpty(t *testing.T) {
 }
 
 func TestLinkHeatmapTorusWrapListed(t *testing.T) {
-	n := New(Config{
+	n := mustNew(Config{
 		Grid:     geom.NewGrid(4, 4, 1.0),
 		Tech:     tech.N5(),
 		Topology: Torus,
@@ -100,7 +100,7 @@ func TestLinkHeatmapTorusWrapListed(t *testing.T) {
 
 func TestNocObsMatchesStats(t *testing.T) {
 	r := obs.New()
-	n := New(Config{
+	n := mustNew(Config{
 		Grid: geom.NewGrid(8, 8, 1.0),
 		Tech: tech.N5(),
 		Obs:  r,
@@ -130,7 +130,7 @@ func TestNocObsMatchesStats(t *testing.T) {
 
 func TestObsDoesNotChangeArrivals(t *testing.T) {
 	run := func(r *obs.Registry) (float64, float64) {
-		n := New(Config{
+		n := mustNew(Config{
 			Grid: geom.NewGrid(8, 8, 1.0),
 			Tech: tech.N5(),
 			Obs:  r,

@@ -8,7 +8,7 @@ import (
 )
 
 func torusNet() *Network {
-	return New(Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5(), Topology: Torus})
+	return mustNew(Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5(), Topology: Torus})
 }
 
 func TestTorusRouteTakesWrapLink(t *testing.T) {
@@ -40,7 +40,7 @@ func TestTorusRouteTakesWrapLink(t *testing.T) {
 
 func TestTorusDistanceNeverExceedsMesh(t *testing.T) {
 	tor := torusNet()
-	mesh := New(Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5()})
+	mesh := mustNew(Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5()})
 	improved := 0
 	for a := 0; a < 64; a++ {
 		for b := 0; b < 64; b++ {
@@ -65,7 +65,7 @@ func TestTorusDistanceNeverExceedsMesh(t *testing.T) {
 
 func TestTorusAverageDistanceBeatsMesh(t *testing.T) {
 	tor := torusNet()
-	mesh := New(Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5()})
+	mesh := mustNew(Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5()})
 	var st, sm int
 	for a := 0; a < 64; a++ {
 		for b := 0; b < 64; b++ {

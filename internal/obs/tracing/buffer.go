@@ -10,7 +10,7 @@ import "sync"
 
 // Record is one completed trace in wire form. DurationNS equals the sum
 // of its stages' DurationNS exactly — the contract the loadgen
-// trace-assert mode and the FakeClock tests enforce.
+// trace-assert mode and the clock.Fake tests enforce.
 type Record struct {
 	TraceID     string            `json:"trace_id"`
 	Seq         uint64            `json:"seq"`

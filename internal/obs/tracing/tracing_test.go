@@ -4,47 +4,26 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs/tracing"
 )
-
-// fakeClock is a manually advanced Clock; the tracing package owns no
-// time source, so tests inject one the same way serve does.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(0, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
 
 // TestExactStageSums pins the core contract: stage durations telescope
 // to the request span exactly, in integer nanoseconds, with contiguous
 // offsets and no gap before the first stage.
 func TestExactStageSums(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewFake(time.Unix(0, 0))
 	tr := tracing.New(tracing.Options{Seed: 1, Clock: clk})
 	_, rt := tr.StartRequest(context.Background(), "/r", "decode")
-	clk.advance(7 * time.Nanosecond)
+	clk.Advance(7 * time.Nanosecond)
 	rt.Stage("admission")
-	clk.advance(11 * time.Nanosecond)
+	clk.Advance(11 * time.Nanosecond)
 	rt.Mark("barrier")
 	rt.Stage("eval")
-	clk.advance(13 * time.Nanosecond)
+	clk.Advance(13 * time.Nanosecond)
 	rt.Finish()
 
 	ex := tr.Export()
@@ -96,7 +75,7 @@ func TestExactStageSums(t *testing.T) {
 // in identical order, and a different seed diverges.
 func TestDeterministicIDs(t *testing.T) {
 	mint := func(seed uint64) []tracing.Record {
-		tr := tracing.New(tracing.Options{Seed: seed, Clock: newFakeClock()})
+		tr := tracing.New(tracing.Options{Seed: seed, Clock: clock.NewFake(time.Unix(0, 0))})
 		for _, route := range []string{"/a", "/b", "/c"} {
 			_, rt := tr.StartRequest(context.Background(), route, "s0")
 			rt.Stage("s1")
@@ -124,6 +103,33 @@ func TestDeterministicIDs(t *testing.T) {
 	other := mint(43)
 	if other[0].TraceID == a[0].TraceID {
 		t.Fatalf("different seeds minted the same trace ID %s", a[0].TraceID)
+	}
+}
+
+// TestIDsGolden pins the exact trace and span IDs of the first three
+// requests under seed 1. TestDeterministicIDs compares two tracers with
+// each other, so a changed mixer would pass it; these values would not.
+func TestIDsGolden(t *testing.T) {
+	tr := tracing.New(tracing.Options{Seed: 1, Clock: clock.NewFake(time.Unix(0, 0))})
+	for _, route := range []string{"/a", "/b", "/c"} {
+		_, rt := tr.StartRequest(context.Background(), route, "s0")
+		rt.Stage("s1")
+		rt.Finish()
+	}
+	want := [][3]string{
+		{"e9fd6049d65af21e", "7095beebd76575e4", "449356e76b1ec655"},
+		{"e06dd043328bd285", "89c6b79e1d39dd80", "a6ac6a00e3f501cc"},
+		{"ec4c5bee627011b3", "28ad05200e0526c1", "b0f663006a112a38"},
+	}
+	recs := tr.Export().Traces
+	if len(recs) != len(want) {
+		t.Fatalf("exported %d traces, want %d", len(recs), len(want))
+	}
+	for i, rec := range recs {
+		got := [3]string{rec.TraceID, rec.Stages[0].SpanID, rec.Stages[1].SpanID}
+		if got != want[i] {
+			t.Errorf("request %d: trace/span IDs %v, want %v", i, got, want[i])
+		}
 	}
 }
 
@@ -158,12 +164,12 @@ func TestNilPathZeroAllocs(t *testing.T) {
 // TestFinishIdempotent: the deferred backstop Finish after an explicit
 // one must not commit a second record or move the trace's end.
 func TestFinishIdempotent(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewFake(time.Unix(0, 0))
 	tr := tracing.New(tracing.Options{Seed: 1, Clock: clk})
 	_, rt := tr.StartRequest(context.Background(), "/r", "s")
-	clk.advance(5 * time.Nanosecond)
+	clk.Advance(5 * time.Nanosecond)
 	rt.Finish()
-	clk.advance(100 * time.Nanosecond)
+	clk.Advance(100 * time.Nanosecond)
 	rt.Finish()
 	rt.Stage("late")
 	rt.Annotate("late", "true")
@@ -182,7 +188,7 @@ func TestFinishIdempotent(t *testing.T) {
 // evicts in completion order, and never evicts a pinned slow-request
 // exemplar while an unpinned record remains.
 func TestRingEvictsOldestNonExemplar(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewFake(time.Unix(0, 0))
 	var exemplars []string
 	tr := tracing.New(tracing.Options{
 		Seed: 1, Capacity: 4, ExemplarK: 1, Clock: clk,
@@ -190,7 +196,7 @@ func TestRingEvictsOldestNonExemplar(t *testing.T) {
 	})
 	finish := func(d time.Duration) string {
 		rt := tr.StartDetached("/r", "s")
-		clk.advance(d)
+		clk.Advance(d)
 		rt.Finish()
 		return rt.TraceID()
 	}
@@ -227,12 +233,12 @@ func TestRingEvictsOldestNonExemplar(t *testing.T) {
 // budget every resident is pinned; the ring must still stay bounded by
 // unpinning and evicting the oldest.
 func TestRingForceEvictsWhenAllPinned(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewFake(time.Unix(0, 0))
 	tr := tracing.New(tracing.Options{Seed: 1, Capacity: 2, ExemplarK: 3, Clock: clk})
 	var ids []string
 	for i := 0; i < 3; i++ {
 		rt := tr.StartDetached("/r", "s")
-		clk.advance(time.Duration(i+1) * time.Nanosecond)
+		clk.Advance(time.Duration(i+1) * time.Nanosecond)
 		rt.Finish()
 		ids = append(ids, rt.TraceID())
 	}
@@ -249,7 +255,7 @@ func TestRingForceEvictsWhenAllPinned(t *testing.T) {
 // newcomer, so under a frozen clock (every duration zero) the first K
 // completions per route stay the exemplars — churn is deterministic.
 func TestExemplarTiesKeepIncumbent(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewFake(time.Unix(0, 0))
 	tr := tracing.New(tracing.Options{Seed: 1, Capacity: 16, ExemplarK: 2, Clock: clk})
 	var ids []string
 	for i := 0; i < 5; i++ {
@@ -268,16 +274,16 @@ func TestExemplarTiesKeepIncumbent(t *testing.T) {
 // TestHandlerMarshalTwiceIdentical: the /debug/traces document and the
 // Chrome rendering are deterministic functions of the retained records.
 func TestHandlerMarshalTwiceIdentical(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewFake(time.Unix(0, 0))
 	tr := tracing.New(tracing.Options{Seed: 9, Clock: clk})
 	for i := 0; i < 3; i++ {
 		_, rt := tr.StartRequest(context.Background(), "/r", "decode")
 		rt.Annotate("b", "2")
 		rt.Annotate("a", "1")
-		clk.advance(3 * time.Nanosecond)
+		clk.Advance(3 * time.Nanosecond)
 		rt.Stage("eval")
 		rt.Mark("m")
-		clk.advance(2 * time.Nanosecond)
+		clk.Advance(2 * time.Nanosecond)
 		rt.Finish()
 	}
 	scrape := func() []byte {

@@ -27,8 +27,15 @@ func obsFixture(t *testing.T, n, p int) (*fm.Graph, fm.Schedule, fm.Target) {
 	}
 	tgt := fm.DefaultTarget(p, 1)
 	tgt.MemWordsPerNode = 1 << 20
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
-	return g, fm.AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0)), tgt
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, sched, tgt
 }
 
 // TestObservabilityDoesNotChangeReplay is the acceptance check: the same
@@ -46,7 +53,10 @@ func TestObservabilityDoesNotChangeReplay(t *testing.T) {
 				}
 			}
 			tr := trace.New()
-			m := ObservedMachineFor(tgt, inj, tr, r)
+			m, err := ObservedMachineFor(tgt, inj, tr, r)
+			if err != nil {
+				t.Fatal(err)
+			}
 			met, err := Run(g, sched, tgt, m)
 			if err != nil {
 				t.Fatal(err)
@@ -76,7 +86,10 @@ func TestObsCountsMatchMetrics(t *testing.T) {
 	}
 	r := obs.New()
 	tr := trace.New()
-	m := ObservedMachineFor(tgt, inj, tr, r)
+	m, err := ObservedMachineFor(tgt, inj, tr, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	met, err := Run(g, sched, tgt, m)
 	if err != nil {
 		t.Fatal(err)

@@ -100,12 +100,17 @@ type TargetSpec struct {
 	MemWordsPerNode int     `json:"mem_words_per_node,omitempty"`
 }
 
+// maxGridNodes caps a requested target's grid at 4096 nodes.
+const maxGridNodes = 1 << 12
+
 func (ts *TargetSpec) target() (fm.Target, error) {
 	w, h := ts.Width, ts.Height
 	if h == 0 {
 		h = 1
 	}
-	if w <= 0 || h <= 0 || w*h > 1<<12 {
+	// Bound each side before multiplying: a product of two huge sides can
+	// wrap to 0 and slip past the node cap.
+	if w <= 0 || h <= 0 || w > maxGridNodes || h > maxGridNodes || w*h > maxGridNodes {
 		return fm.Target{}, fmt.Errorf("invalid grid %dx%d", w, h)
 	}
 	tgt := fm.DefaultTarget(w, h)

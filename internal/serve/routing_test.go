@@ -18,7 +18,8 @@ func (rs *RecurrenceSpec) materialize() (*fm.Graph, *fm.Domain, error) {
 }
 
 // FuzzRouteKey feeds arbitrary bodies to the router's decoder. It must
-// never panic, and whenever the body's inline recurrence materializes on
+// never panic, every target it accepts must have 1..maxGridNodes grid
+// nodes, and whenever the body's inline recurrence materializes on
 // a valid target, the key must be fm.FingerprintFP of the materialized
 // graph's fingerprint: the value every shard's cache and atlas key by,
 // so a router that skips the build still picks the same shard.
@@ -39,16 +40,24 @@ func FuzzRouteKey(f *testing.F) {
 		`{"recurrence": {"dims": [4], "deps": [[1]]}, "target": {"width": 0}}`,
 		`{"target": {"width": 4}}`,
 		`{"recurrence": null, "graph_fp": "zz"}`,
+		// 2^32 x 2^32 wraps to 0 nodes when multiplied unchecked.
+		`{"recurrence": {"dims": [4, 4], "deps": [[1, 0], [0, 1]]}, "target": {"width": 4294967296, "height": 4294967296}, "schedules": [{"kind": "list"}]}`,
 	} {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		key, err := RouteKey(body)
 		var p routeProbe
-		if json.Unmarshal(body, &p) != nil || p.Recurrence == nil {
+		if json.Unmarshal(body, &p) != nil {
 			return
 		}
 		tgt, terr := p.Target.target()
+		if n := tgt.Grid.Nodes(); terr == nil && (n < 1 || n > maxGridNodes) {
+			t.Fatalf("target %+v accepted with %d grid nodes, want 1..%d", p.Target, n, maxGridNodes)
+		}
+		if p.Recurrence == nil {
+			return
+		}
 		g, _, merr := p.Recurrence.materialize()
 		if terr != nil || merr != nil {
 			return
@@ -60,4 +69,36 @@ func FuzzRouteKey(f *testing.F) {
 			t.Fatalf("RouteKey = %016x, materialized graph routes to %016x", key, want)
 		}
 	})
+}
+
+// TestOversizedTargetRejected pins the target decoder's size cap on
+// every route that takes a target. Each side is bounded before the
+// multiply, so a grid whose node count wraps to 0 is refused with a 422
+// instead of reaching a schedule builder, and RouteKey refuses it too,
+// so a router turns it away without a shard round trip.
+func TestOversizedTargetRejected(t *testing.T) {
+	s := newTestServer(t, nil)
+	const rec = `"recurrence": {"dims": [4, 4], "deps": [[1, 0], [0, 1]]}`
+	for _, tgt := range []string{
+		`{"width": 4294967296, "height": 4294967296}`,
+		`{"width": 4611686018427387904, "height": 4}`,
+		`{"width": 4097}`,
+		`{"width": 1, "height": 4097}`,
+		`{"width": 128, "height": 64}`,
+	} {
+		for _, tc := range []struct{ method, path, body string }{
+			{"POST", "/v1/eval", `{` + rec + `, "target": ` + tgt + `, "schedules": [{"kind": "list"}, {"kind": "antidiagonal"}]}`},
+			{"POST", "/v1/search", `{` + rec + `, "target": ` + tgt + `, "iters": 10}`},
+			{"GET", "/v1/slack", `{` + rec + `, "target": ` + tgt + `, "schedule": {"kind": "list"}}`},
+		} {
+			t.Run(tc.path+" "+tgt, func(t *testing.T) {
+				if code, resp := post(t, s, tc.method, tc.path, tc.body, nil); code != 422 {
+					t.Fatalf("want 422, got %d: %s", code, resp.Body.String())
+				}
+				if key, err := RouteKey([]byte(tc.body)); err == nil {
+					t.Fatalf("RouteKey accepted the target and routed it to %016x", key)
+				}
+			})
+		}
+	}
 }

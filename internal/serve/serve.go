@@ -46,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fm/search"
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
@@ -136,8 +137,8 @@ type Config struct {
 	// mapping is appended to it, and searches answer with the stored
 	// best when it beats the fresh result. Nil disables persistence.
 	Store *store.Store
-	// Clock supplies time. Default SystemClock.
-	Clock Clock
+	// Clock supplies time. Default clock.System.
+	Clock clock.Clock
 	// Obs receives service metrics under "serve.*" plus the eval cache's
 	// "search.evalcache.*" gauges. Nil disables instrumentation at zero
 	// cost.
@@ -150,6 +151,10 @@ type Config struct {
 	// tracing at zero cost.
 	Tracer *tracing.Tracer
 }
+
+// SystemClock is clock.System, kept under this name for callers that
+// configure a server with serve.SystemClock{}.
+type SystemClock = clock.System
 
 func (c Config) withDefaults() Config {
 	if c.PoolWorkers <= 0 {
@@ -180,7 +185,7 @@ func (c Config) withDefaults() Config {
 		c.DefaultDeadline = 30 * time.Second
 	}
 	if c.Clock == nil {
-		c.Clock = SystemClock{}
+		c.Clock = clock.System{}
 	}
 	return c
 }
@@ -189,7 +194,7 @@ func (c Config) withDefaults() Config {
 // Handler on any http.Server, and stop with Drain then Close.
 type Server struct {
 	cfg    Config
-	clock  Clock
+	clock  clock.Clock
 	reg    *obs.Registry
 	tracer *tracing.Tracer
 

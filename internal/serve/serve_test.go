@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fm"
 	"repro/internal/obs"
 )
@@ -24,7 +25,7 @@ func newTestServer(t *testing.T, override func(*Config)) *Server {
 		BatchMax:         8,
 		MaxSearches:      1,
 		AdmissionControl: true,
-		Clock:            NewFakeClock(time.Unix(1000, 0)),
+		Clock:            clock.NewFake(time.Unix(1000, 0)),
 		Obs:              obs.New(),
 	}
 	if override != nil {

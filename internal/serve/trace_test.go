@@ -1,5 +1,5 @@
 // Flight-recorder integration tests: every request trace's stage
-// durations sum exactly to its span under the FakeClock, refusals carry
+// durations sum exactly to its span under a clock.Fake, refusals carry
 // their admission reason, batches link to their members, and two
 // same-seed servers driven identically export byte-identical
 // /debug/traces documents.
@@ -13,16 +13,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs/tracing"
 )
 
 // newTracedServer is newTestServer plus a tracer sharing the server's
-// FakeClock, which it returns for manual advancement.
-func newTracedServer(t *testing.T, seed uint64, override func(*Config)) (*Server, *FakeClock) {
+// clock.Fake, which it returns for manual advancement.
+func newTracedServer(t *testing.T, seed uint64, override func(*Config)) (*Server, *clock.Fake) {
 	t.Helper()
-	var fc *FakeClock
+	var fc *clock.Fake
 	s := newTestServer(t, func(c *Config) {
-		fc = c.Clock.(*FakeClock)
+		fc = c.Clock.(*clock.Fake)
 		c.Tracer = tracing.New(tracing.Options{
 			Seed: seed, Capacity: 64, ExemplarK: 2, Clock: c.Clock,
 		})

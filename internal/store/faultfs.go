@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/splitmix"
 )
 
 // ErrCrashed is returned by every FaultFS operation after the injected
@@ -102,7 +104,7 @@ func NewFaultFS(inner FS, cfg FaultConfig) (*FaultFS, error) {
 	return &FaultFS{
 		inner: inner,
 		cfg:   cfg,
-		seed:  mix64(uint64(cfg.Seed) ^ 0x57a7e_fa017_f5),
+		seed:  splitmix.Mix64(uint64(cfg.Seed) ^ 0x57a7e_fa017_f5),
 	}, nil
 }
 
@@ -113,20 +115,10 @@ func (f *FaultFS) Stats() FaultStats {
 	return f.stats
 }
 
-// mix64 is the splitmix64 finalizer: a bijective avalanche over uint64.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // draw returns a uniform float64 in [0, 1) and a raw hash for the
 // given (kind, op) coordinate — the injector's entire randomness.
 func (f *FaultFS) draw(kind uint64, op int64) (float64, uint64) {
-	h := mix64(f.seed ^ mix64(kind*0x9e3779b97f4a7c15+uint64(op)))
+	h := splitmix.Mix64(f.seed ^ splitmix.Mix64(kind*0x9e3779b97f4a7c15+uint64(op)))
 	return float64(h>>11) / float64(1<<53), h
 }
 

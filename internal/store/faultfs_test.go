@@ -75,6 +75,35 @@ func TestFaultFSDeterministicSchedule(t *testing.T) {
 	}
 }
 
+// TestFaultFSDrawGolden pins the raw draws behind every injected fault.
+// The schedule tests above compare same-seed runs with each other, so a
+// changed mixer would pass them; these values would not.
+func TestFaultFSDrawGolden(t *testing.T) {
+	ffs, err := NewFaultFS(OS{}, FaultConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		kind uint64
+		op   int64
+		h    uint64
+	}{
+		{opWrite, 1, 0x6d588423add4b92b},
+		{opSync, 1, 0x43c1ab361069d9fd},
+		{opWrite, 2, 0x563b581bcb49f5b3},
+		{opSync, 2, 0xd0fdeec567d658ce},
+		{opWrite, 3, 0xdc546b4bd2ba92f8},
+		{opSync, 3, 0x10fb426cf9a2a6f7},
+		{opWrite, 4, 0xa273f70b7638e668},
+		{opSync, 4, 0xb2d24941d008800d},
+	} {
+		u, h := ffs.draw(tc.kind, tc.op)
+		if h != tc.h || u != float64(tc.h>>11)/float64(1<<53) {
+			t.Errorf("draw(%d, %d) = (%v, %#016x), want hash %#016x", tc.kind, tc.op, u, h, tc.h)
+		}
+	}
+}
+
 func TestFaultFSCrashIsTerminal(t *testing.T) {
 	dir := t.TempDir()
 	fired := 0

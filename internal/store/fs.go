@@ -1,5 +1,5 @@
 // The FS seam: every byte the store reads or writes flows through this
-// interface, mirroring the Clock seam in internal/serve. Production
+// interface, mirroring the Clock seam in internal/clock. Production
 // stores run on OS (the real filesystem); crash-recovery drills run on
 // FaultFS (faultfs.go), which injects short writes, fsync failures,
 // flipped bytes, and mid-write process death from a seeded, fully

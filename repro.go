@@ -83,8 +83,9 @@ var (
 	SerialSchedule = fm.SerialSchedule
 	// ListSchedule is the default mapper.
 	ListSchedule = fm.ListSchedule
-	// NewMachine builds a grid-machine simulator.
-	NewMachine = machine.New
+	// NewMachine builds a grid-machine simulator, or returns an error for
+	// invalid technology parameters or NoC mode.
+	NewMachine = machine.NewChecked
 	// N5 returns the paper's 5 nm technology constants.
 	N5 = tech.N5
 	// NewPool starts a work-span worker pool.
@@ -94,10 +95,10 @@ var (
 	// Experiments returns the full paper-reproduction suite (E1..E18).
 	Experiments = experiments.All
 	// ASAPSchedule / ALAPSchedule derive earliest/latest start times for a
-	// fixed placement; Slack is their difference (the critical path has
-	// none).
+	// fixed placement (ALAP returns an error for an infeasible deadline);
+	// Slack is their difference (the critical path has none).
 	ASAPSchedule = fm.ASAPSchedule
-	ALAPSchedule = fm.ALAPSchedule
+	ALAPSchedule = fm.ALAPScheduleChecked
 	Slack        = fm.Slack
 	// Recompute applies the paper's compute-at-multiple-points rule.
 	Recompute = fm.Recompute
