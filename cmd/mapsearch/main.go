@@ -178,9 +178,9 @@ func main() {
 	annealT := time.Since(start)
 	fmt.Printf("\nannealed placement (%d chains x %d iters, seed %d): %v\n",
 		*chains, *iters, *seed, annealed)
-	hits, misses := cache.Stats()
+	cs := cache.SnapshotStats()
 	fmt.Printf("search ran in %v (sweep) + %v (anneal); eval cache: %d hits / %d misses\n",
-		sweep.Round(time.Millisecond), annealT.Round(time.Millisecond), hits, misses)
+		sweep.Round(time.Millisecond), annealT.Round(time.Millisecond), cs.Hits, cs.Misses)
 
 	if reg != nil {
 		of, err := os.Create(*obsOut)

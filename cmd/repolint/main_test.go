@@ -49,15 +49,17 @@ func TestRepolintSinglePackage(t *testing.T) {
 // a determinism-critical package (see lint.Determinism's criticalPkgs)
 // that reads no wall clock of its own — time arrives through the
 // internal/clock seam — with no panics, no fmt printing, and nil-safe
-// obs use.
+// obs use — and over internal/bounded, the map its registries and the
+// eval cache remember through, whose eviction must be a function of
+// the puts alone.
 func TestRepolintServePackage(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"./internal/serve"}, &out, &errOut); code != 0 {
-		t.Fatalf("repolint ./internal/serve exited %d\nstdout:\n%s\nstderr:\n%s",
+	if code := run([]string{"./internal/serve", "./internal/bounded"}, &out, &errOut); code != 0 {
+		t.Fatalf("repolint ./internal/serve ./internal/bounded exited %d\nstdout:\n%s\nstderr:\n%s",
 			code, out.String(), errOut.String())
 	}
 	if out.Len() != 0 {
-		t.Fatalf("repolint ./internal/serve printed findings on exit 0:\n%s", out.String())
+		t.Fatalf("repolint ./internal/serve ./internal/bounded printed findings on exit 0:\n%s", out.String())
 	}
 }
 

@@ -67,8 +67,6 @@ type Config struct {
 	ExchangeRounds int
 	// ProbeTimeout bounds one health probe. Default 2s.
 	ProbeTimeout time.Duration
-	// MaxBodyBytes bounds request bodies. Default 1 MiB.
-	MaxBodyBytes int64
 	// Clock is the time seam; nil means clock.System.
 	Clock clock.Clock
 	// Client issues shard requests; nil means a default client. The
@@ -106,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeTimeout == 0 {
 		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Clock == nil {
 		c.Clock = clock.System{}
@@ -228,10 +223,10 @@ func (rt *Router) plan(key uint64) (cands []int, primary int) {
 	return cands, primary
 }
 
-// readBody slurps a bounded request body.
+// readBody slurps a request body of at most serve.MaxBodyBytes.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	defer r.Body.Close()
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 }
 
 func writeJSONError(w http.ResponseWriter, status int, format string, args ...any) {

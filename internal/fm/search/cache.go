@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/bounded"
 	"repro/internal/fm"
 	"repro/internal/obs"
 )
@@ -26,7 +27,7 @@ type evalKey struct {
 
 type evalShard struct {
 	mu sync.Mutex
-	m  map[evalKey]fm.Cost // guarded by mu
+	m  *bounded.Map[evalKey, fm.Cost] // guarded by mu
 }
 
 // EvalCache memoizes fm.Evaluate results so a candidate mapping proposed
@@ -38,12 +39,10 @@ type evalShard struct {
 // would have produced (Evaluate is deterministic), so caching never
 // changes search results, only their price.
 type EvalCache struct {
-	shards [evalCacheShards]evalShard
-	// maxPerShard bounds each shard's entry count; 0 means unbounded.
-	maxPerShard int
-	hits        atomic.Int64
-	misses      atomic.Int64
-	evictions   atomic.Int64
+	shards    [evalCacheShards]evalShard
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
 }
 
 // NewEvalCache returns an empty, unbounded cache.
@@ -51,19 +50,20 @@ func NewEvalCache() *EvalCache {
 	return NewBoundedEvalCache(0)
 }
 
-// NewBoundedEvalCache returns a cache holding at most maxEntries priced
-// mappings (0 = unbounded). When a shard is full, inserting a new entry
-// evicts an arbitrary resident one. Eviction changes only which results
-// are *remembered*, never what Eval returns — a re-miss re-prices the
+// NewBoundedEvalCache returns a cache bounded per shard (0 = unbounded):
+// each of the 64 shards holds ceil(maxEntries/64) priced mappings, so
+// the cache holds up to maxEntries rounded up to a multiple of 64 (a
+// bound of 100 holds up to 128). A full shard evicts its oldest
+// insertion, so which mappings are remembered is a function of the
+// shard's sequence of inserts. Eviction changes only which results are
+// *remembered*, never what Eval returns — a re-miss re-prices the
 // mapping through the deterministic evaluator — so bounding memory is
 // always safe for search results.
 func NewBoundedEvalCache(maxEntries int) *EvalCache {
 	c := &EvalCache{}
-	if maxEntries > 0 {
-		c.maxPerShard = (maxEntries + evalCacheShards - 1) / evalCacheShards
-	}
 	for i := range c.shards {
-		c.shards[i].m = make(map[evalKey]fm.Cost)
+		// ceil(maxEntries/64), which is <= 0 (unbounded) when maxEntries is.
+		c.shards[i].m = bounded.New[evalKey, fm.Cost]((maxEntries + evalCacheShards - 1) / evalCacheShards)
 	}
 	return c
 }
@@ -74,33 +74,13 @@ func NewBoundedEvalCache(maxEntries int) *EvalCache {
 // workers racing on the same absent key may both evaluate; both compute
 // the same Cost, so the duplicated work is bounded and harmless.
 func (c *EvalCache) Eval(g *fm.Graph, gfp uint64, sched fm.Schedule, tgt fm.Target) fm.Cost {
-	k := evalKey{graph: gfp, sched: sched.Fingerprint(), tgt: tgt}
-	sh := &c.shards[k.sched%evalCacheShards]
-	sh.mu.Lock()
-	cost, ok := sh.m[k]
-	sh.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
+	sfp := sched.Fingerprint()
+	if cost, ok := c.Lookup(gfp, sfp, tgt); ok {
 		return cost
 	}
 	c.misses.Add(1)
-	cost = mustEval(g, sched, tgt)
-	sh.mu.Lock()
-	if c.maxPerShard > 0 && len(sh.m) >= c.maxPerShard {
-		if _, resident := sh.m[k]; !resident {
-			// Evict one arbitrary entry to make room. Which entry goes
-			// is Go's map iteration choice — nondeterministic, and
-			// deliberately allowed: the cache is a price memo, so
-			// membership never influences any search answer.
-			for victim := range sh.m {
-				delete(sh.m, victim)
-				c.evictions.Add(1)
-				break
-			}
-		}
-	}
-	sh.m[k] = cost
-	sh.mu.Unlock()
+	cost := mustEval(g, sched, tgt)
+	c.Put(gfp, sfp, tgt, cost)
 	return cost
 }
 
@@ -116,16 +96,9 @@ func (c *EvalCache) Put(gfp, sfp uint64, tgt fm.Target, cost fm.Cost) {
 	k := evalKey{graph: gfp, sched: sfp, tgt: tgt}
 	sh := &c.shards[k.sched%evalCacheShards]
 	sh.mu.Lock()
-	if c.maxPerShard > 0 && len(sh.m) >= c.maxPerShard {
-		if _, resident := sh.m[k]; !resident {
-			for victim := range sh.m {
-				delete(sh.m, victim)
-				c.evictions.Add(1)
-				break
-			}
-		}
+	if sh.m.Put(k, cost) {
+		c.evictions.Add(1)
 	}
-	sh.m[k] = cost
 	sh.mu.Unlock()
 }
 
@@ -139,17 +112,12 @@ func (c *EvalCache) Lookup(gfp, sfp uint64, tgt fm.Target) (fm.Cost, bool) {
 	k := evalKey{graph: gfp, sched: sfp, tgt: tgt}
 	sh := &c.shards[k.sched%evalCacheShards]
 	sh.mu.Lock()
-	cost, ok := sh.m[k]
+	cost, ok := sh.m.Get(k)
 	sh.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
 	}
 	return cost, ok
-}
-
-// Stats returns the hit and miss counts since creation.
-func (c *EvalCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
 }
 
 // CacheStats is a point-in-time copy of an EvalCache's counters, in the
@@ -162,18 +130,19 @@ type CacheStats struct {
 	Entries   int   `json:"entries"`
 }
 
-// SnapshotStats freezes the cache's counters. The counters are read
+// SnapshotStats freezes the cache's counters; it is the cache's one
+// read. The counters and the per-shard entry counts are read
 // independently (not under one lock), so a snapshot taken under
 // concurrent traffic is approximate by at most the in-flight requests.
 func (c *EvalCache) SnapshotStats() CacheStats {
-	hits, misses := c.Stats()
-	return CacheStats{Hits: hits, Misses: misses, Evictions: c.Evictions(), Entries: c.Len()}
-}
-
-// Evictions returns the number of entries displaced by the capacity
-// bound (always 0 for an unbounded cache).
-func (c *EvalCache) Evictions() int64 {
-	return c.evictions.Load()
+	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load()}
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		s.Entries += sh.m.Len()
+		sh.mu.Unlock()
+	}
+	return s
 }
 
 // PublishObs sets the cache's current hit/miss/eviction/occupancy
@@ -184,21 +153,9 @@ func (c *EvalCache) PublishObs(r *obs.Registry) {
 	if c == nil || !r.Enabled() {
 		return
 	}
-	hits, misses := c.Stats()
-	r.Gauge("search.evalcache.hits").Set(float64(hits))
-	r.Gauge("search.evalcache.misses").Set(float64(misses))
-	r.Gauge("search.evalcache.evictions").Set(float64(c.Evictions()))
-	r.Gauge("search.evalcache.entries").Set(float64(c.Len()))
-}
-
-// Len returns the number of distinct mappings cached.
-func (c *EvalCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
+	s := c.SnapshotStats()
+	r.Gauge("search.evalcache.hits").Set(float64(s.Hits))
+	r.Gauge("search.evalcache.misses").Set(float64(s.Misses))
+	r.Gauge("search.evalcache.evictions").Set(float64(s.Evictions))
+	r.Gauge("search.evalcache.entries").Set(float64(s.Entries))
 }

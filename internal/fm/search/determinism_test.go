@@ -69,7 +69,7 @@ func TestExhaustive2DDeterministicWithCache(t *testing.T) {
 			t.Fatalf("rep %d: cached sweep diverged from uncached", rep)
 		}
 	}
-	if hits, _ := cache.Stats(); hits == 0 {
+	if cache.SnapshotStats().Hits == 0 {
 		t.Error("second sweep produced no cache hits")
 	}
 }

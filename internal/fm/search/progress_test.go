@@ -128,12 +128,12 @@ func TestAnnealObsGauges(t *testing.T) {
 			t.Fatalf("gauge %q missing from snapshot (have %v)", name, snap.Names())
 		}
 	}
-	hits, misses := cache.Stats()
-	if got := snap.Gauges["search.evalcache.hits"]; got != float64(hits) {
-		t.Fatalf("search.evalcache.hits = %g, cache says %d", got, hits)
+	cs := cache.SnapshotStats()
+	if got := snap.Gauges["search.evalcache.hits"]; got != float64(cs.Hits) {
+		t.Fatalf("search.evalcache.hits = %g, cache says %d", got, cs.Hits)
 	}
-	if got := snap.Gauges["search.evalcache.misses"]; got != float64(misses) {
-		t.Fatalf("search.evalcache.misses = %g, cache says %d", got, misses)
+	if got := snap.Gauges["search.evalcache.misses"]; got != float64(cs.Misses) {
+		t.Fatalf("search.evalcache.misses = %g, cache says %d", got, cs.Misses)
 	}
 }
 
@@ -182,10 +182,11 @@ func TestBoundedEvalCacheEvicts(t *testing.T) {
 	if bounded != unbounded {
 		t.Fatalf("bounded cache changed the search result: %+v vs %+v", bounded, unbounded)
 	}
-	if cache.Evictions() == 0 {
+	cs := cache.SnapshotStats()
+	if cs.Evictions == 0 {
 		t.Fatal("300x2 iterations through a 64-entry cache evicted nothing")
 	}
-	if got := cache.Len(); got > evalCacheShards {
+	if got := cs.Entries; got > evalCacheShards {
 		t.Fatalf("cache holds %d entries, cap %d", got, evalCacheShards)
 	}
 }

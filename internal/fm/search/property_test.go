@@ -104,11 +104,11 @@ func TestEvalCacheDeltaAgreement(t *testing.T) {
 			// the same mapping hits and returns the same bits the full
 			// evaluator would.
 			putSide.Put(gfp, sfp, tgt, cand)
-			hitsBefore, _ := putSide.Stats()
+			hitsBefore := putSide.SnapshotStats().Hits
 			if got := putSide.Eval(g, gfp, sched, tgt); got != cand {
 				t.Fatalf("seed=%d move=%d: Eval after Put returned %+v, want %+v", seed, move, got, cand)
 			}
-			if hitsAfter, _ := putSide.Stats(); hitsAfter != hitsBefore+1 {
+			if putSide.SnapshotStats().Hits != hitsBefore+1 {
 				t.Fatalf("seed=%d move=%d: Eval after Put re-evaluated instead of hitting", seed, move)
 			}
 		}

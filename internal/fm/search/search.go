@@ -360,6 +360,7 @@ func (ch *chain) step(g *fm.Graph, gfp uint64, tgt fm.Target, obj Objective, cac
 			ch.best = ch.eng.Snapshot(make(fm.Schedule, g.NumNodes()))
 			ch.bestCost = candCost
 			if cache != nil {
+				//lint:allow alloc(new-best path only: publishing a new best may grow the shard's eviction ring, at most once per slot up to the cache bound; the steady-state reject/accept path never reaches it)
 				cache.Put(gfp, ch.best.Fingerprint(), tgt, candCost)
 			}
 		}
@@ -530,7 +531,8 @@ func AnnealResumable(g *fm.Graph, tgt fm.Target, opts AnnealOptions) (fm.Schedul
 		if p.ElapsedSec > 0 {
 			p.CandidatesPerSec = float64(evals) / p.ElapsedSec
 		}
-		p.CacheHits, p.CacheMisses = cache.Stats()
+		cs := cache.SnapshotStats()
+		p.CacheHits, p.CacheMisses = cs.Hits, cs.Misses
 		if total := p.CacheHits + p.CacheMisses; total > 0 {
 			p.CacheHitRate = float64(p.CacheHits) / float64(total)
 		}

@@ -24,6 +24,7 @@ var criticalPkgs = map[string]bool{
 	"repro/internal/obs/tracing": true,
 	"repro/internal/cluster":     true,
 	"repro/internal/clock":       true,
+	"repro/internal/bounded":     true,
 }
 
 // randConstructors are the math/rand top-level functions that build

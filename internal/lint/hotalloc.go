@@ -337,6 +337,10 @@ func (w *hotWalker) handleCall(v *pkgView, call *ast.CallExpr) {
 		return
 	}
 	w.checkBoxing(v, call)
+	// A call to a generic function or method resolves to an instantiated
+	// *types.Func, which has no declaration of its own; its body is the
+	// generic origin's, walked once whatever the type arguments.
+	callee = callee.Origin()
 	target := w.view(path)
 	if target == nil {
 		w.report(v, call.Pos(), "call to %s.%s is outside the analyzed module; annotate the allocation-free contract", path, callee.Name())

@@ -18,3 +18,15 @@ func pad(v int) int {
 	buf := make([]int, 8) // want "hotpath hot: make allocates"
 	return v + len(buf)
 }
+
+// Stack is a generic container whose Push may grow its backing array.
+type Stack[T any] struct{ items []T }
+
+func (s *Stack[T]) Push(x T) {
+	s.items = append(s.items, x) // want "hotpath hotGeneric: append may grow its backing array"
+}
+
+// Top is an allocation-free generic function.
+func Top[T any](s *Stack[T]) T {
+	return s.items[len(s.items)-1]
+}

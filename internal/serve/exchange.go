@@ -64,7 +64,7 @@ func (s *Server) handleExchange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExchangeRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		respondErr(rt, "error", w, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -195,7 +195,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EvalRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		respondErr(rt, "error", w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -298,7 +298,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SearchRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		respondErr(rt, "error", w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -411,7 +411,7 @@ func (s *Server) handleSlack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SlackRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		respondErr(rt, "error", w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -519,7 +519,7 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req admissionRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bounded"
 	"repro/internal/fm"
 	"repro/internal/obs/tracing"
 )
@@ -150,46 +151,38 @@ type graphEntry struct {
 }
 
 // graphRegistry is a bounded map from graph fingerprint to materialized
-// graph. Like the eval cache, eviction changes only what is remembered:
-// a fingerprint miss tells the client to re-send the recurrence inline,
-// never produces a wrong answer.
+// graph. A full registry evicts its oldest registration, so whether a
+// fingerprint-only request finds its graph (200) or not (404) is a
+// function of the request stream. Like the eval cache, eviction changes
+// only what is remembered: a fingerprint miss tells the client to
+// re-send the recurrence inline, never produces a wrong answer.
 type graphRegistry struct {
-	mu  sync.Mutex
-	max int
-	m   map[uint64]*graphEntry // guarded by mu
+	mu sync.Mutex
+	m  *bounded.Map[uint64, *graphEntry] // guarded by mu
 }
 
-func newGraphRegistry(max int) *graphRegistry {
-	return &graphRegistry{max: max, m: make(map[uint64]*graphEntry)}
+func newGraphRegistry() *graphRegistry {
+	return &graphRegistry{m: bounded.New[uint64, *graphEntry](maxGraphs)}
 }
 
 func (r *graphRegistry) lookup(fp uint64) (*graphEntry, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.m[fp]
-	return e, ok
+	return r.m.Get(fp)
 }
 
+// register records e under fp unless fp is already registered: the
+// first domain to register a shared graph keeps it.
 func (r *graphRegistry) register(fp uint64, e *graphEntry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.m[fp]; ok {
-		return
+	if _, ok := r.m.Get(fp); !ok {
+		r.m.Put(fp, e)
 	}
-	if len(r.m) >= r.max {
-		// Evict one arbitrary resident entry (Go's map iteration choice —
-		// membership never influences answers, only whether a client must
-		// re-send its recurrence inline).
-		for victim := range r.m {
-			delete(r.m, victim)
-			break
-		}
-	}
-	r.m[fp] = e
 }
 
 func (r *graphRegistry) len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.m)
+	return r.m.Len()
 }

@@ -362,10 +362,14 @@ var objectives = map[string]search.Objective{
 	"footprint": search.MinFootprint,
 }
 
-// decodeJSON decodes a bounded JSON body into v, rejecting unknown
-// fields so client typos fail loudly instead of silently defaulting.
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
+// MaxBodyBytes bounds every request body mapd and maprouter read.
+const MaxBodyBytes = 1 << 20
+
+// decodeJSON decodes a body of at most MaxBodyBytes into v, rejecting
+// unknown fields so client typos fail loudly instead of silently
+// defaulting.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

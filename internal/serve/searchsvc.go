@@ -19,14 +19,19 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/bounded"
 	"repro/internal/fm"
 	"repro/internal/fm/search"
 	"repro/internal/obs/tracing"
 )
 
-// maxSearchResults bounds the best-so-far registry; eviction only
-// forgets a degraded-answer source, never corrupts one.
-const maxSearchResults = 256
+// maxGraphs and maxSearchResults bound the materialized-graph and
+// best-so-far registries. Both evict their oldest key; eviction only
+// forgets a graph or a degraded-answer source, never corrupts one.
+const (
+	maxGraphs        = 64
+	maxSearchResults = 256
+)
 
 // searchKey identifies one search request exactly: same key, same
 // deterministic search. It doubles as the checkpoint identity.
@@ -42,11 +47,11 @@ type searchRegistry struct {
 	slots   int
 	running int
 	wg      sync.WaitGroup
-	results map[string]SearchResponse
+	results *bounded.Map[string, SearchResponse] // guarded by mu
 }
 
 func newSearchRegistry(slots int) *searchRegistry {
-	return &searchRegistry{slots: slots, results: make(map[string]SearchResponse)}
+	return &searchRegistry{slots: slots, results: bounded.New[string, SearchResponse](maxSearchResults)}
 }
 
 // acquire claims a search slot; false means the server is at capacity.
@@ -72,8 +77,7 @@ func (r *searchRegistry) release() {
 func (r *searchRegistry) lookup(key string) (SearchResponse, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	resp, ok := r.results[key]
-	return resp, ok
+	return r.results.Get(key)
 }
 
 // store records the best response so far for key. A complete result
@@ -81,18 +85,10 @@ func (r *searchRegistry) lookup(key string) (SearchResponse, bool) {
 func (r *searchRegistry) store(key string, resp SearchResponse) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if prev, ok := r.results[key]; ok && !prev.Partial && resp.Partial {
+	if prev, ok := r.results.Get(key); ok && !prev.Partial && resp.Partial {
 		return
 	}
-	if _, ok := r.results[key]; !ok && len(r.results) >= maxSearchResults {
-		// Evict one arbitrary resident entry (map iteration choice); the
-		// registry is a cache of degraded-answer material, not state.
-		for victim := range r.results {
-			delete(r.results, victim)
-			break
-		}
-	}
-	r.results[key] = resp
+	r.results.Put(key, resp)
 }
 
 // wait blocks until every running search has finished — drain support.

@@ -116,10 +116,6 @@ type Config struct {
 	MaxSearches int
 	// CacheEntries bounds the shared EvalCache. Default 65536.
 	CacheEntries int
-	// MaxGraphs bounds the materialized-graph registry. Default 64.
-	MaxGraphs int
-	// MaxBodyBytes bounds request bodies. Default 1 MiB.
-	MaxBodyBytes int64
 	// DefaultDeadline bounds requests that carry no deadline of their
 	// own. Default 30s.
 	DefaultDeadline time.Duration
@@ -174,12 +170,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 1 << 16
-	}
-	if c.MaxGraphs <= 0 {
-		c.MaxGraphs = 64
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 30 * time.Second
@@ -251,7 +241,7 @@ func NewServer(cfg Config) (*Server, error) {
 		tracer:   cfg.Tracer,
 		pool:     workspan.NewPool(cfg.PoolWorkers, workspan.WorkStealing),
 		cache:    search.NewBoundedEvalCache(cfg.CacheEntries),
-		graphs:   newGraphRegistry(cfg.MaxGraphs),
+		graphs:   newGraphRegistry(),
 		queue:    newJobQueue(cfg.QueueDepth),
 		searches: newSearchRegistry(cfg.MaxSearches),
 		store:    cfg.Store,

@@ -127,6 +127,50 @@ func TestEvalFingerprintRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGraphFPVerdictsFollowRequestStream: whether a fingerprint-only
+// eval finds its graph (200) or must re-send it inline (404) is a
+// function of the request stream. 96 inline evals of distinct graphs
+// overflow the 64-graph registry, which evicts its oldest
+// registrations, so replaying the 96 fingerprints gets exactly the
+// first 32 refused — on every fresh server alike.
+func TestGraphFPVerdictsFollowRequestStream(t *testing.T) {
+	const graphs = 96
+	verdicts := func() []int {
+		s := newTestServer(t, nil)
+		fps := make([]string, graphs)
+		seen := map[string]bool{}
+		for i := range fps {
+			body := fmt.Sprintf(`{"recurrence": {"dims": [%d, %d], "deps": [[1, 0], [0, 1]]},
+				"target": {"width": 4}, "schedules": [{"kind": "serial"}]}`, 2+i/8, 2+i%8)
+			var resp EvalResponse
+			if code, rec := post(t, s, "POST", "/v1/eval", body, &resp); code != 200 {
+				t.Fatalf("inline eval %d: %d %s", i, code, rec.Body.String())
+			}
+			if seen[resp.GraphFP] {
+				t.Fatalf("inline eval %d repeats graph %s", i, resp.GraphFP)
+			}
+			seen[resp.GraphFP] = true
+			fps[i] = resp.GraphFP
+		}
+		codes := make([]int, graphs)
+		for i, fp := range fps {
+			codes[i], _ = post(t, s, "POST", "/v1/eval", fmt.Sprintf(`{"graph_fp": %q,
+				"target": {"width": 4}, "schedules": [{"kind": "serial"}]}`, fp), nil)
+		}
+		return codes
+	}
+	a, b := verdicts(), verdicts()
+	for i := range a {
+		want := 200
+		if i < graphs-maxGraphs {
+			want = 404
+		}
+		if a[i] != want || b[i] != want {
+			t.Fatalf("graph_fp eval %d: servers answered %d and %d, want %d\nfirst:  %v\nsecond: %v", i, a[i], b[i], want, a, b)
+		}
+	}
+}
+
 func TestEvalRejectsMalformedRequests(t *testing.T) {
 	s := newTestServer(t, nil)
 	cases := []struct {
