@@ -1,67 +1,26 @@
-// Command loadgen is a deterministic, seeded load generator for mapd.
-// It has two modes:
+// Command loadgen is mapd's kill-and-restart drill: the one serving
+// check that needs a real process and a real SIGKILL. The in-process
+// fleet tests (internal/cluster) and serve's tests check everything
+// else.
 //
-// Steady state (default): generate -requests requests from -seed (a
-// fixed mix of eval, search, and slack calls over a small family of
-// recurrences, with schedule repeats so the eval cache earns hits),
-// drive them closed-loop through -concurrency workers, then scrape
-// /v1/metrics and verify the serving invariants: zero 5xx responses and
-// a nonzero cache hit count. Exit status 1 if either fails, so CI can
-// gate on it.
+// loadgen owns the server lifecycle. It starts the -mapd binary with
+// -store-dir, prices -requests distinct mappings (phase one: all 200,
+// each one persisted), kills the process with SIGKILL — no drain, no
+// flush beyond what the store already fsynced — restarts it over the
+// same store directory, and replays the identical request sequence. The
+// drill then asserts exact warmth: every phase-two answer is
+// byte-identical to phase one, serve.store.hits equals the request
+// count, the recovered store holds every record, and the restarted eval
+// cache recorded zero misses and the store zero new puts — the store,
+// not re-evaluation, answered everything. Exit status 1 on any miss.
 //
-// Overload drill (-overload): requires mapd -admission-control. Warm
-// -cached schedules, pause the drain workers via /v1/admission, fire a
-// concurrent burst of cached + uncached requests, wait until the queue
-// holds exactly min(capacity, uncached) jobs and every excess request
-// has been refused, resume, and verify the EXACT per-status counts:
-// cached requests degrade to 200 with degraded=true, precisely
-// min(capacity, uncached) jobs are admitted and finish 200, and the rest
-// are 429 with Retry-After. Two runs with the same flags print identical
-// counts lines — the drill is a determinism test of backpressure itself.
+// The final stdout line is machine-parseable:
 //
-// Restart drill (-restart): requires -mapd (path to the mapd binary).
-// Loadgen owns the server lifecycle: it starts mapd with -store-dir,
-// prices -requests distinct mappings (phase one: all 200, zero 5xx),
-// kills the process with SIGKILL — no drain, no flush beyond what the
-// store already fsynced — restarts it over the same store directory,
-// and replays the identical request sequence. The drill then asserts
-// EXACT warmth: every phase-two answer is byte-identical to phase one,
-// serve.store.hits equals the request count, and the restarted eval
-// cache recorded zero misses — the store, not re-evaluation, answered
-// everything.
-//
-// Cluster drills (-cluster, plus -cluster-kill / -cluster-search):
-// loadgen spawns a maprouter over N mapd shards and asserts the cluster
-// tier's contracts — zero client-visible errors with exact failover
-// counts across a SIGKILLed shard, store-warm rejoin, byte-identical
-// same-seed scatter-gather searches. See cluster.go.
-//
-// Trace assertion (-trace-assert, with the steady mode): after the
-// steady run, force one degraded answer through a shed-mode round trip
-// (requires mapd -admission-control), fetch /debug/traces twice, and
-// assert the flight-recorder contracts over the wire: the two fetches
-// are byte-identical (deterministic marshaling), every trace's stage
-// durations sum exactly to its request span, and every degraded or
-// rejected trace carries an admission stage plus a refusal reason
-// annotation. -trace-json saves the fetched document so CI can diff two
-// same-seed drills byte for byte.
-//
-// The final stdout line of either mode is machine-parseable:
-//
-//	loadgen: requests=200 ok=187 degraded=9 rejected=4 err5xx=0 cache_hits=122
-//	loadgen overload: ok=8 degraded=4 rejected=12
 //	loadgen restart: requests=24 ok=48 err5xx=0 store_hits=24 store_records=24 evalcache_misses=0
-//	loadgen cluster: requests=24 ok=24 err5xx=0 failovers=0 shards_used=3
-//	loadgen cluster-kill: requests=24 ok=72 err5xx=0 failovers=9 expected_failovers=9 store_hits=9 rejoined_served=9
-//	loadgen cluster-search: status=200 rounds=3 replicas=2 winner_shard=1 bytes=412
-//	loadgen trace: traces=207 sums_ok=207 degraded_with_reason=1 export_stable=true
 //
 // Usage:
 //
-//	loadgen -addr http://127.0.0.1:8080 -requests 200 -seed 1
-//	loadgen -addr http://127.0.0.1:8080 -overload -burst 16 -cached 4
-//	loadgen -restart -mapd ./mapd -store-dir /tmp/atlas -listen 127.0.0.1:18080 -requests 24
-//	loadgen -addr http://127.0.0.1:8080 -requests 60 -concurrency 1 -trace-assert -trace-json traces.json
+//	loadgen -mapd ./mapd -store-dir /tmp/atlas -listen 127.0.0.1:18080 -requests 24 -seed 7
 package main
 
 import (
@@ -74,68 +33,21 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 )
 
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8080", "mapd base URL")
-	requests := flag.Int("requests", 200, "steady-state request count")
-	seed := flag.Int64("seed", 1, "request-mix seed; same seed, same request sequence")
-	concurrency := flag.Int("concurrency", 8, "closed-loop worker count")
+	mapdBin := flag.String("mapd", "", "path to the mapd binary (required)")
+	storeDir := flag.String("store-dir", "", "mapping store directory (empty = a fresh temp dir)")
+	listen := flag.String("listen", "127.0.0.1:18080", "address the spawned mapd listens on")
+	requests := flag.Int("requests", 24, "distinct mappings priced in each phase")
+	seed := flag.Int64("seed", 1, "request seed; same seed, same request sequence")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request client timeout")
-	overload := flag.Bool("overload", false, "run the deterministic overload drill instead of steady-state load")
-	burst := flag.Int("burst", 16, "overload drill: uncached requests in the burst")
-	cached := flag.Int("cached", 4, "overload drill: cache-warmed requests in the burst")
-	restart := flag.Bool("restart", false, "run the kill-and-restart warmth drill (spawns mapd itself; needs -mapd)")
-	mapdBin := flag.String("mapd", "", "restart/cluster drills: path to the mapd binary")
-	storeDir := flag.String("store-dir", "", "restart/cluster drills: mapping store directory (empty = a fresh temp dir)")
-	listen := flag.String("listen", "127.0.0.1:18080", "restart drill: address the spawned mapd listens on")
-	clusterMode := flag.Bool("cluster", false, "run the cluster drill (spawns maprouter + shards; needs -mapd and -router)")
-	routerBin := flag.String("router", "", "cluster drills: path to the maprouter binary")
-	clusterShards := flag.Int("cluster-shards", 3, "cluster drills: shard count")
-	clusterKill := flag.Bool("cluster-kill", false, "cluster drill: SIGKILL one shard mid-run and assert exact failover accounting")
-	clusterSearch := flag.Bool("cluster-search", false, "cluster drill: one frozen-clock scatter-gather search, raw response saved for diffing")
-	searchOut := flag.String("search-out", "", "cluster-search: write the raw search response bytes to this path")
-	clusterTraceOut := flag.String("cluster-trace-out", "", "cluster-search: router writes its trace export to this path on shutdown")
-	basePort := flag.Int("cluster-base-port", 18090, "cluster drills: router port (shards take the following ports)")
-	report := flag.String("report", "", "write the run report as JSON to this path")
-	traceAssert := flag.Bool("trace-assert", false, "after the steady run, assert the /debug/traces contracts (needs mapd -admission-control)")
-	traceJSON := flag.String("trace-json", "", "trace-assert: write the fetched /debug/traces document to this path")
 	flag.Parse()
 
-	base := *addr
-	if *restart {
-		base = "http://" + *listen
-	}
-	c := &client{base: base, http: &http.Client{Timeout: *timeout}}
-	var (
-		rep *runReport
-		err error
-	)
-	switch {
-	case *clusterMode:
-		rep, err = runCluster(*mapdBin, *routerBin, *storeDir, *clusterShards, *basePort, *requests, *seed,
-			*clusterKill, *clusterSearch, *searchOut, *clusterTraceOut, *timeout)
-	case *restart:
-		rep, err = runRestart(c, *mapdBin, *storeDir, *listen, *requests, *seed)
-	case *overload:
-		rep, err = runOverload(c, *burst, *cached)
-	default:
-		rep, err = runSteady(c, *requests, *seed, *concurrency)
-		if err == nil && *traceAssert {
-			err = runTraceAssert(c, *traceJSON)
-		}
-	}
-	if rep != nil && *report != "" {
-		if werr := writeReport(*report, rep); werr != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: write report: %v\n", werr)
-			os.Exit(1)
-		}
-	}
-	if err != nil {
+	c := &client{base: "http://" + *listen, http: &http.Client{Timeout: *timeout}}
+	if err := runRestart(c, *mapdBin, *storeDir, *listen, *requests, *seed); err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %v\n", err)
 		os.Exit(1)
 	}
@@ -147,443 +59,45 @@ type client struct {
 	http *http.Client
 }
 
-// call posts body to path and decodes the JSON response into out (which
-// may be nil). It returns the HTTP status and the Retry-After header.
-func (c *client) call(method, path, body string, out any) (status int, retryAfter string, err error) {
+// call sends body to path and decodes a 200 answer's JSON into out
+// (which may be nil), returning the HTTP status.
+func (c *client) call(method, path, body string, out any) (int, error) {
 	req, err := http.NewRequest(method, c.base+path, bytes.NewReader([]byte(body)))
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	if body != "" {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return resp.StatusCode, "", err
+		return resp.StatusCode, err
 	}
 	if out != nil && resp.StatusCode == 200 {
 		if err := json.Unmarshal(data, out); err != nil {
-			return resp.StatusCode, "", fmt.Errorf("%s %s: decode: %w", method, path, err)
+			return resp.StatusCode, fmt.Errorf("%s %s: decode: %w", method, path, err)
 		}
 	}
-	return resp.StatusCode, resp.Header.Get("Retry-After"), nil
+	return resp.StatusCode, nil
 }
 
-// evalResponse, searchResponse, healthz mirror the serve wire types
-// (duplicated here so loadgen exercises mapd strictly over the wire, as
-// a real client would).
+// evalResponse mirrors the serve wire type (duplicated so loadgen
+// exercises mapd strictly over the wire, as a real client would).
 type evalResponse struct {
-	GraphFP  string `json:"graph_fp"`
-	Degraded bool   `json:"degraded"`
-	// Costs is kept raw so the restart drill can compare answers across
-	// server lives byte for byte.
+	Degraded bool `json:"degraded"`
+	// Costs is kept raw so answers compare across server lives byte
+	// for byte.
 	Costs json.RawMessage `json:"costs"`
-}
-
-type healthz struct {
-	Status        string `json:"status"`
-	Mode          string `json:"mode"`
-	QueueDepth    int    `json:"queue_depth"`
-	QueueCapacity int    `json:"queue_capacity"`
 }
 
 type metricsSnapshot struct {
 	Counters map[string]int64   `json:"counters"`
 	Gauges   map[string]float64 `json:"gauges"`
-}
-
-// runReport is the JSON report of one loadgen run.
-type runReport struct {
-	Mode      string `json:"mode"`
-	Requests  int    `json:"requests"`
-	OK        int64  `json:"ok"`
-	Degraded  int64  `json:"degraded"`
-	Rejected  int64  `json:"rejected"`
-	Err4xx    int64  `json:"err_4xx"`
-	Err5xx    int64  `json:"err_5xx"`
-	Transport int64  `json:"transport_errors"`
-	CacheHits int64  `json:"cache_hits"`
-	// StoreHits and StoreRecords are filled by the restart drill: store
-	// probes that answered, and records recovered into the second life.
-	StoreHits    int64 `json:"store_hits,omitempty"`
-	StoreRecords int64 `json:"store_records,omitempty"`
-	// Failovers is filled by the cluster kill drill: requests the router
-	// served from a replica because the primary was dead.
-	Failovers int64 `json:"failovers,omitempty"`
-}
-
-func writeReport(path string, rep *runReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// genRequest builds the i-th steady-state request from the seeded
-// stream. The mix: mostly evals over a small family of recurrences and
-// schedules (repeats are the point — they become cache hits), a few
-// searches (small, bounded), a few slack profiles.
-func genRequest(rng *rand.Rand) (path, body string) {
-	dims := []int{5 + rng.Intn(3), 5 + rng.Intn(3)} // 9 distinct graphs
-	rec := fmt.Sprintf(`{"dims": [%d, %d], "deps": [[1, 0], [0, 1]]}`, dims[0], dims[1])
-	width := 4
-	switch draw := rng.Intn(10); {
-	case draw < 7: // eval
-		kinds := []string{
-			`{"kind": "serial"}`,
-			`{"kind": "list"}`,
-			`{"kind": "antidiagonal"}`,
-			fmt.Sprintf(`{"kind": "antidiagonal", "stride": %d}`, 20+rng.Intn(4)),
-			fmt.Sprintf(`{"kind": "affine", "a1": 1, "a2": 0, "t1": %d, "t2": 1}`, 1+rng.Intn(3)),
-		}
-		sched := kinds[rng.Intn(len(kinds))]
-		return "/v1/eval", fmt.Sprintf(`{"recurrence": %s, "target": {"width": %d}, "schedules": [%s]}`, rec, width, sched)
-	case draw < 8: // search: small and deterministic
-		return "/v1/search", fmt.Sprintf(
-			`{"recurrence": %s, "target": {"width": %d}, "iters": 100, "chains": 2, "seed": %d}`,
-			rec, width, 1+rng.Intn(3))
-	default: // slack
-		return "/v1/slack", fmt.Sprintf(
-			`{"recurrence": %s, "target": {"width": %d}, "schedule": {"kind": "antidiagonal"}}`, rec, width)
-	}
-}
-
-func runSteady(c *client, requests int, seed int64, concurrency int) (*runReport, error) {
-	// Generate the full request sequence up front: the sequence is a pure
-	// function of the seed, so two runs issue identical request sets
-	// (arrival interleaving differs; response counts by content do not).
-	rng := rand.New(rand.NewSource(seed))
-	type reqSpec struct{ path, body string }
-	specs := make([]reqSpec, requests)
-	for i := range specs {
-		specs[i].path, specs[i].body = genRequest(rng)
-	}
-
-	rep := &runReport{Mode: "steady", Requests: requests}
-	var ok, degraded, rejected, err4xx, err5xx, transport atomic.Int64
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				var ev evalResponse
-				status, _, err := c.call("POST", specs[i].path, specs[i].body, &ev)
-				switch {
-				case err != nil:
-					transport.Add(1)
-					fmt.Fprintf(os.Stderr, "loadgen: request %d: %v\n", i, err)
-				case status == 200 && ev.Degraded:
-					degraded.Add(1)
-				case status == 200:
-					ok.Add(1)
-				case status == 429:
-					rejected.Add(1)
-				case status >= 500:
-					err5xx.Add(1)
-					fmt.Fprintf(os.Stderr, "loadgen: request %d: status %d\n", i, status)
-				default:
-					err4xx.Add(1)
-					fmt.Fprintf(os.Stderr, "loadgen: request %d: status %d\n", i, status)
-				}
-			}
-		}()
-	}
-	for i := range specs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-
-	var snap metricsSnapshot
-	if status, _, err := c.call("GET", "/v1/metrics", "", &snap); err != nil || status != 200 {
-		return rep, fmt.Errorf("metrics scrape failed: status %d, %v", status, err)
-	}
-	rep.OK, rep.Degraded, rep.Rejected = ok.Load(), degraded.Load(), rejected.Load()
-	rep.Err4xx, rep.Err5xx, rep.Transport = err4xx.Load(), err5xx.Load(), transport.Load()
-	rep.CacheHits = int64(snap.Gauges["search.evalcache.hits"])
-
-	fmt.Printf("loadgen: requests=%d ok=%d degraded=%d rejected=%d err5xx=%d cache_hits=%d\n",
-		requests, rep.OK, rep.Degraded, rep.Rejected, rep.Err5xx, rep.CacheHits)
-
-	switch {
-	case rep.Err5xx > 0:
-		return rep, fmt.Errorf("%d server errors", rep.Err5xx)
-	case rep.Transport > 0:
-		return rep, fmt.Errorf("%d transport errors", rep.Transport)
-	case rep.Err4xx > 0:
-		return rep, fmt.Errorf("%d client errors — generated requests must all be well-formed", rep.Err4xx)
-	case rep.CacheHits == 0:
-		return rep, fmt.Errorf("zero cache hits: the batching/caching path is not engaging")
-	}
-	return rep, nil
-}
-
-// rawGet fetches path and returns the exact response body — the
-// trace-assert mode compares bodies byte for byte, so no decode/encode
-// round trip is allowed to launder them.
-func (c *client) rawGet(path string) ([]byte, error) {
-	resp, err := c.http.Get(c.base + path)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != 200 {
-		return nil, fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-	}
-	return data, nil
-}
-
-// traceExport mirrors the /debug/traces document (the subset the
-// assertions need), duplicated like the other wire types so the
-// contracts are checked strictly over the wire.
-type traceExport struct {
-	Completed uint64        `json:"completed"`
-	Traces    []traceRecord `json:"traces"`
-}
-
-type traceRecord struct {
-	TraceID     string            `json:"trace_id"`
-	Route       string            `json:"route"`
-	DurationNS  int64             `json:"duration_ns"`
-	Outcome     string            `json:"outcome"`
-	Annotations map[string]string `json:"annotations"`
-	Stages      []traceStage      `json:"stages"`
-}
-
-type traceStage struct {
-	Name       string `json:"name"`
-	DurationNS int64  `json:"duration_ns"`
-}
-
-// runTraceAssert checks the flight-recorder contracts over the wire
-// after a steady run: export stability (two scrapes, byte-identical),
-// exact stage sums on every retained trace, and a refusal reason on
-// every degraded/rejected trace — including one this function forces by
-// replaying a cached eval under shed mode.
-func runTraceAssert(c *client, traceJSONPath string) error {
-	// Force a degraded answer with a provenance trail: price one mapping
-	// while serving, then replay it under shed — the cache answers, the
-	// trace must say why it was allowed to.
-	probe := `{
-		"recurrence": {"dims": [6, 6], "deps": [[1, 0], [0, 1]]},
-		"target": {"width": 4},
-		"schedules": [{"kind": "antidiagonal", "stride": 150}],
-		"deadline_ms": 60000
-	}`
-	if status, _, err := c.call("POST", "/v1/eval", probe, nil); err != nil || status != 200 {
-		return fmt.Errorf("trace probe warmup: status %d, %v", status, err)
-	}
-	defer func() { _ = setMode(c, "serve") }()
-	if err := setMode(c, "shed"); err != nil {
-		return err
-	}
-	var ev evalResponse
-	if status, _, err := c.call("POST", "/v1/eval", probe, &ev); err != nil || status != 200 || !ev.Degraded {
-		return fmt.Errorf("trace probe under shed: status %d, degraded=%v, %v", status, ev.Degraded, err)
-	}
-	if err := setMode(c, "serve"); err != nil {
-		return err
-	}
-
-	// Export stability: with no traffic between them, two scrapes must be
-	// byte-identical — deterministic marshaling, not a snapshot accident.
-	body1, err := c.rawGet("/debug/traces")
-	if err != nil {
-		return err
-	}
-	body2, err := c.rawGet("/debug/traces")
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(body1, body2) {
-		return fmt.Errorf("/debug/traces export is not stable across back-to-back scrapes")
-	}
-	if traceJSONPath != "" {
-		if err := os.WriteFile(traceJSONPath, body1, 0o644); err != nil {
-			return fmt.Errorf("write trace json: %w", err)
-		}
-	}
-
-	var export traceExport
-	if err := json.Unmarshal(body1, &export); err != nil {
-		return fmt.Errorf("decode /debug/traces: %w", err)
-	}
-	if len(export.Traces) == 0 {
-		return fmt.Errorf("no traces retained (is mapd running with -trace-buf > 0?)")
-	}
-
-	sumsOK := 0
-	degradedWithReason := 0
-	for i, tr := range export.Traces {
-		if len(tr.TraceID) != 16 {
-			return fmt.Errorf("trace %d: malformed trace_id %q", i, tr.TraceID)
-		}
-		if len(tr.Stages) == 0 {
-			return fmt.Errorf("trace %d (%s): no stages", i, tr.Route)
-		}
-		var sum int64
-		for _, st := range tr.Stages {
-			sum += st.DurationNS
-		}
-		if sum != tr.DurationNS {
-			return fmt.Errorf("trace %d (%s %s): stage durations sum to %d ns, span is %d ns — attribution must be exact",
-				i, tr.Route, tr.TraceID, sum, tr.DurationNS)
-		}
-		sumsOK++
-		if tr.Outcome == "degraded" || tr.Outcome == "rejected" {
-			hasAdmission := false
-			for _, st := range tr.Stages {
-				if st.Name == "admission" {
-					hasAdmission = true
-				}
-			}
-			if !hasAdmission {
-				return fmt.Errorf("trace %d (%s %s): %s outcome without an admission stage", i, tr.Route, tr.TraceID, tr.Outcome)
-			}
-			if tr.Annotations["admission.reason"] == "" {
-				return fmt.Errorf("trace %d (%s %s): %s outcome without an admission.reason annotation", i, tr.Route, tr.TraceID, tr.Outcome)
-			}
-			if tr.Outcome == "degraded" {
-				degradedWithReason++
-			}
-		}
-	}
-	if degradedWithReason == 0 {
-		return fmt.Errorf("no degraded trace retained — the shed probe should have produced one")
-	}
-	fmt.Printf("loadgen trace: traces=%d sums_ok=%d degraded_with_reason=%d export_stable=true\n",
-		len(export.Traces), sumsOK, degradedWithReason)
-	return nil
-}
-
-// setMode switches mapd's admission mode (requires -admission-control).
-func setMode(c *client, mode string) error {
-	status, _, err := c.call("POST", "/v1/admission", fmt.Sprintf(`{"mode": %q}`, mode), nil)
-	if err != nil {
-		return err
-	}
-	if status != 200 {
-		return fmt.Errorf("set admission mode %s: status %d (is mapd running with -admission-control?)", mode, status)
-	}
-	return nil
-}
-
-func runOverload(c *client, burst, cachedN int) (*runReport, error) {
-	var hz healthz
-	if status, _, err := c.call("GET", "/healthz", "", &hz); err != nil || status != 200 {
-		return nil, fmt.Errorf("healthz: status %d, %v", status, err)
-	}
-	capacity := hz.QueueCapacity
-
-	// The drill needs a mode round-trip even if it fails later, so leave
-	// the server serving on every exit path.
-	defer func() { _ = setMode(c, "serve") }()
-
-	// Warmup: price the cached strides (and materialize the graph).
-	warm := func(stride int) string {
-		return fmt.Sprintf(`{
-			"recurrence": {"dims": [7, 7], "deps": [[1, 0], [0, 1]]},
-			"target": {"width": 4},
-			"schedules": [{"kind": "antidiagonal", "stride": %d}],
-			"deadline_ms": 60000
-		}`, stride)
-	}
-	for i := 0; i < cachedN; i++ {
-		if status, _, err := c.call("POST", "/v1/eval", warm(100+i), nil); err != nil || status != 200 {
-			return nil, fmt.Errorf("warmup %d: status %d, %v", i, status, err)
-		}
-	}
-	if err := setMode(c, "pause"); err != nil {
-		return nil, err
-	}
-
-	// Burst: cachedN repeats of the warmed strides plus `burst` fresh
-	// strides, all concurrent.
-	n := cachedN + burst
-	var ok, degraded, rejected, other atomic.Int64
-	var immediate atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		stride := 100 + i // i < cachedN warmed, rest fresh
-		wg.Add(1)
-		go func(stride int) {
-			defer wg.Done()
-			var ev evalResponse
-			status, retryAfter, err := c.call("POST", "/v1/eval", warm(stride), &ev)
-			switch {
-			case err != nil || status >= 500 || (status != 200 && status != 429):
-				other.Add(1)
-				fmt.Fprintf(os.Stderr, "loadgen: overload request: status %d, %v\n", status, err)
-			case status == 429:
-				if retryAfter == "" {
-					other.Add(1)
-					fmt.Fprintln(os.Stderr, "loadgen: 429 without Retry-After")
-				} else {
-					rejected.Add(1)
-				}
-				immediate.Add(1)
-			case ev.Degraded:
-				degraded.Add(1)
-				immediate.Add(1)
-			default:
-				ok.Add(1)
-			}
-		}(stride)
-	}
-
-	// Settle: the queue holds exactly min(capacity, burst) jobs and every
-	// request that can answer while paused has answered.
-	wantQueued := capacity
-	if burst < wantQueued {
-		wantQueued = burst
-	}
-	wantImmediate := cachedN + (burst - wantQueued)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if status, _, err := c.call("GET", "/healthz", "", &hz); err != nil || status != 200 {
-			return nil, fmt.Errorf("healthz poll: status %d, %v", status, err)
-		}
-		if hz.QueueDepth == wantQueued && int(immediate.Load()) == wantImmediate {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("drill never settled: queue %d/%d, immediate %d/%d",
-				hz.QueueDepth, wantQueued, immediate.Load(), wantImmediate)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := setMode(c, "serve"); err != nil {
-		return nil, err
-	}
-	wg.Wait()
-
-	rep := &runReport{
-		Mode: "overload", Requests: n,
-		OK: ok.Load(), Degraded: degraded.Load(), Rejected: rejected.Load(),
-	}
-	fmt.Printf("loadgen overload: ok=%d degraded=%d rejected=%d\n", rep.OK, rep.Degraded, rep.Rejected)
-
-	wantOK, wantDegraded, wantRejected := int64(wantQueued), int64(cachedN), int64(burst-wantQueued)
-	if other.Load() != 0 {
-		return rep, fmt.Errorf("%d requests outside the 200/429 contract", other.Load())
-	}
-	if rep.OK != wantOK || rep.Degraded != wantDegraded || rep.Rejected != wantRejected {
-		return rep, fmt.Errorf("counts not exact: got ok=%d degraded=%d rejected=%d, want ok=%d degraded=%d rejected=%d",
-			rep.OK, rep.Degraded, rep.Rejected, wantOK, wantDegraded, wantRejected)
-	}
-	return rep, nil
 }
 
 // genRestartBodies builds n distinct eval requests from the seed: one
@@ -616,7 +130,7 @@ func spawnMapd(c *client, mapdBin, storeDir, listen string) (*exec.Cmd, error) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if status, _, err := c.call("GET", "/healthz", "", nil); err == nil && status == 200 {
+		if status, err := c.call("GET", "/healthz", "", nil); err == nil && status == 200 {
 			return cmd, nil
 		}
 		if time.Now().After(deadline) {
@@ -634,7 +148,7 @@ func restartPhase(c *client, name string, bodies []string) ([]string, error) {
 	costs := make([]string, len(bodies))
 	for i, body := range bodies {
 		var ev evalResponse
-		status, _, err := c.call("POST", "/v1/eval", body, &ev)
+		status, err := c.call("POST", "/v1/eval", body, &ev)
 		switch {
 		case err != nil:
 			return nil, fmt.Errorf("%s request %d: %w", name, i, err)
@@ -650,60 +164,62 @@ func restartPhase(c *client, name string, bodies []string) ([]string, error) {
 	return costs, nil
 }
 
+// scrape fetches mapd's /v1/metrics.
+func scrape(c *client, name string) (metricsSnapshot, error) {
+	var snap metricsSnapshot
+	if status, err := c.call("GET", "/v1/metrics", "", &snap); err != nil || status != 200 {
+		return snap, fmt.Errorf("%s metrics scrape: status %d, %v", name, status, err)
+	}
+	return snap, nil
+}
+
 // runRestart is the kill-and-restart warmth drill. It proves the
 // persistent store makes a SIGKILLed server's pricing survive: the
 // second life must answer the identical request sequence byte for byte
 // from disk — exact store-hit counts, zero eval-cache misses, zero 5xx.
-func runRestart(c *client, mapdBin, storeDir, listen string, requests int, seed int64) (*runReport, error) {
+func runRestart(c *client, mapdBin, storeDir, listen string, requests int, seed int64) error {
 	if mapdBin == "" {
-		return nil, fmt.Errorf("-restart needs -mapd (path to the mapd binary)")
+		return fmt.Errorf("need -mapd (path to the mapd binary)")
 	}
 	if storeDir == "" {
 		dir, err := os.MkdirTemp("", "loadgen-atlas-*")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer os.RemoveAll(dir)
 		storeDir = dir
 	}
 	bodies := genRestartBodies(seed, requests)
-	rep := &runReport{Mode: "restart", Requests: requests}
 
 	// Phase one: a fresh server prices everything and persists as it goes.
 	first, err := spawnMapd(c, mapdBin, storeDir, listen)
 	if err != nil {
-		return rep, err
+		return err
 	}
 	phase1, err := restartPhase(c, "phase 1", bodies)
-	if err != nil {
-		_ = first.Process.Kill()
-		_ = first.Wait()
-		return rep, err
-	}
 	var snap1 metricsSnapshot
-	if status, _, err := c.call("GET", "/v1/metrics", "", &snap1); err != nil || status != 200 {
-		_ = first.Process.Kill()
-		_ = first.Wait()
-		return rep, fmt.Errorf("phase 1 metrics scrape: status %d, %v", status, err)
+	if err == nil {
+		snap1, err = scrape(c, "phase 1")
 	}
-	if puts := snap1.Counters["serve.store.puts"]; puts != int64(requests) {
-		_ = first.Process.Kill()
-		_ = first.Wait()
-		return rep, fmt.Errorf("phase 1 persisted %d mappings, want %d", puts, requests)
+	if err == nil && snap1.Counters["serve.store.puts"] != int64(requests) {
+		err = fmt.Errorf("phase 1 persisted %d mappings, want %d", snap1.Counters["serve.store.puts"], requests)
 	}
 
 	// The crash: SIGKILL, not a drain. Whatever warmth survives is owed
 	// entirely to the store's per-put fsync.
-	if err := first.Process.Kill(); err != nil {
-		return rep, fmt.Errorf("kill mapd: %w", err)
+	if kerr := first.Process.Kill(); err == nil && kerr != nil {
+		err = fmt.Errorf("kill mapd: %w", kerr)
 	}
 	_ = first.Wait()
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(os.Stderr, "loadgen: mapd killed (SIGKILL); restarting over the same store")
 
 	// Phase two: the restarted server must answer from the recovered atlas.
 	second, err := spawnMapd(c, mapdBin, storeDir, listen)
 	if err != nil {
-		return rep, err
+		return err
 	}
 	defer func() {
 		_ = second.Process.Signal(syscall.SIGTERM)
@@ -711,34 +227,32 @@ func runRestart(c *client, mapdBin, storeDir, listen string, requests int, seed 
 	}()
 	phase2, err := restartPhase(c, "phase 2", bodies)
 	if err != nil {
-		return rep, err
+		return err
 	}
 	for i := range phase1 {
 		if phase1[i] != phase2[i] {
-			return rep, fmt.Errorf("answer %d changed across restart:\n  before: %s\n  after:  %s", i, phase1[i], phase2[i])
+			return fmt.Errorf("answer %d changed across restart:\n  before: %s\n  after:  %s", i, phase1[i], phase2[i])
 		}
 	}
-	var snap2 metricsSnapshot
-	if status, _, err := c.call("GET", "/v1/metrics", "", &snap2); err != nil || status != 200 {
-		return rep, fmt.Errorf("phase 2 metrics scrape: status %d, %v", status, err)
+	snap2, err := scrape(c, "phase 2")
+	if err != nil {
+		return err
 	}
-	rep.OK = int64(2 * requests)
-	rep.StoreHits = snap2.Counters["serve.store.hits"]
-	rep.StoreRecords = int64(snap2.Gauges["store.records"])
-	misses := snap2.Gauges["search.evalcache.misses"]
+	hits, records := snap2.Counters["serve.store.hits"], int64(snap2.Gauges["store.records"])
+	misses, puts := snap2.Gauges["search.evalcache.misses"], snap2.Counters["serve.store.puts"]
 
 	fmt.Printf("loadgen restart: requests=%d ok=%d err5xx=0 store_hits=%d store_records=%d evalcache_misses=%g\n",
-		requests, rep.OK, rep.StoreHits, rep.StoreRecords, misses)
+		requests, 2*requests, hits, records, misses)
 
 	switch {
-	case rep.StoreHits != int64(requests):
-		return rep, fmt.Errorf("restarted server hit the store %d times, want exactly %d", rep.StoreHits, requests)
-	case rep.StoreRecords != int64(requests):
-		return rep, fmt.Errorf("recovered store holds %d records, want %d", rep.StoreRecords, requests)
+	case hits != int64(requests):
+		return fmt.Errorf("restarted server hit the store %d times, want exactly %d", hits, requests)
+	case records != int64(requests):
+		return fmt.Errorf("recovered store holds %d records, want %d", records, requests)
 	case misses != 0:
-		return rep, fmt.Errorf("restarted server re-priced %g mappings; the store should have answered all of them", misses)
-	case snap2.Counters["serve.store.puts"] != 0:
-		return rep, fmt.Errorf("restarted server re-persisted %d mappings; dedup should make this 0", snap2.Counters["serve.store.puts"])
+		return fmt.Errorf("restarted server re-priced %g mappings; the store should have answered all of them", misses)
+	case puts != 0:
+		return fmt.Errorf("restarted server re-persisted %d mappings; dedup should make this 0", puts)
 	}
-	return rep, nil
+	return nil
 }

@@ -2,17 +2,19 @@
 // or more shard attempts:
 //
 //   - the first candidate is tried immediately;
-//   - a transport error or 5xx marks the shard down and launches the
-//     next candidate (failover — the client never sees a replica's
-//     death while any replica lives);
+//   - a transport error or a 5xx other than 504 marks the shard down
+//     and launches the next candidate (failover — the client never sees
+//     a replica's death while any replica lives);
 //   - if the first attempt outlives the hedge delay, the next candidate
 //     is launched CONCURRENTLY (hedge) and the first answer wins; the
 //     loser's request context is cancelled, so abandoned work dies at
 //     the shard's next context check instead of running to completion.
 //
-// 4xx answers pass through without failover: they are deterministic
-// verdicts about the request, not about the shard, and retrying them
-// elsewhere would just duplicate the refusal.
+// 4xx and 504 answers pass through without failover: a 4xx is a
+// deterministic verdict about the request, and a 504 is the client's
+// own X-Deadline-Ms expiring, which the relayed deadline would expire
+// again on every replica. Neither says anything about the shard, and
+// retrying them elsewhere would just duplicate the refusal.
 //
 // The hedge delay rides the Clock seam: fixed (HedgeDelay), or derived
 // from the observed forward-latency quantile. Under a clock.Fake the
@@ -58,9 +60,9 @@ const maxShardResponse = 8 << 20
 
 // failed reports whether an attempt must trigger failover: transport
 // error, or a 5xx verdict (a draining or dying shard, not a bad
-// request).
+// request) other than 504, the client's deadline.
 func (a attemptResult) failed() bool {
-	return a.err != nil || a.status >= 500
+	return a.err != nil || (a.status >= 500 && a.status != http.StatusGatewayTimeout)
 }
 
 func failureReason(a attemptResult) string {

@@ -12,9 +12,10 @@
 //     the request;
 //   - failover + hedging (forward.go): a dead or 5xx-ing replica is
 //     retried on the next one (never a client-visible error while any
-//     replica lives), and a slow one is hedged after a quantile-derived
-//     delay on the Clock seam — the replica answers, the loser's
-//     request context is cancelled;
+//     replica lives; a 504 is the client's deadline and is relayed),
+//     and a slow one is hedged after a quantile-derived delay on the
+//     Clock seam — the replica answers, the loser's request context is
+//     cancelled;
 //   - scatter-gather search (exchange.go): /v1/search fans annealing
 //     slices across the replica set and the router arbitrates exchange
 //     barriers between rounds, generalizing the in-process multi-chain
@@ -267,11 +268,12 @@ func (rt *Router) handleForward(path string, count func()) http.HandlerFunc {
 			return
 		}
 		tr.Stage("route")
+		// A body RouteKey refuses still goes to a shard, under key 0: the
+		// shard's refusal is the one a single mapd gives, so the answer
+		// does not depend on the fleet.
 		key, err := serve.RouteKey(body)
 		if err != nil {
-			seal(tr, "error")
-			writeJSONError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
+			tr.Annotate("route.unroutable", "true")
 		}
 		cands, primary := rt.plan(key)
 		tr.Annotate("route.key", strconv.FormatUint(key, 16))

@@ -197,12 +197,16 @@ func TestAllReplicasDownIs502(t *testing.T) {
 	}
 }
 
+// A body with no graph identity cannot be routed by content; it still
+// goes to a shard, so the client gets mapd's own 422, byte for byte.
 func TestUnroutableBodyIs422(t *testing.T) {
-	fleet := newShardFleet(t, 2)
-	rt, _ := newTestRouter(t, fleet.urls, nil)
-	rec := do(rt, "POST", "/v1/eval", `{"target": {"width": 4}}`)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422 for a body with no graph identity", rec.Code)
+	_, urls := newFleet(t, 2)
+	rt, _ := newTestRouter(t, urls, nil)
+	const body = `{"target": {"width": 4}}`
+	rec := do(rt, "POST", "/v1/eval", body)
+	want := newFleetShard(t).serve(httptest.NewRequest("POST", "/v1/eval", strings.NewReader(body)))
+	if rec.Code != http.StatusUnprocessableEntity || rec.Body.String() != want.Body.String() {
+		t.Fatalf("status %d %s, want a single mapd's 422 %s", rec.Code, rec.Body.String(), want.Body.String())
 	}
 }
 

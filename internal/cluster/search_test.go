@@ -5,36 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/clock"
-	"repro/internal/obs"
-	"repro/internal/serve"
+	"repro/internal/obs/tracing"
 )
-
-// newServeShard spins up a REAL mapd serving stack behind an HTTP
-// listener: the scatter-gather tests exercise the actual /v1/exchange
-// protocol, not a stub of it.
-func newServeShard(t *testing.T) string {
-	t.Helper()
-	s, err := serve.NewServer(serve.Config{
-		PoolWorkers: 2,
-		QueueDepth:  8,
-		EvalWorkers: 1,
-		BatchMax:    8,
-		MaxSearches: 2,
-		Clock:       clock.NewFake(time.Unix(1000, 0)),
-		Obs:         obs.New(),
-	})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	t.Cleanup(func() { s.Close() })
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
-	return srv.URL
-}
 
 const clusterSearchBody = `{
 	"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]},
@@ -44,23 +19,36 @@ const clusterSearchBody = `{
 
 // Byte-reproducibility across fleets: two same-seed scatter-gather
 // searches against two FRESH 3-shard fleets answer identically, byte
-// for byte — the property the CI cluster drill diffs end to end.
+// for byte, and the two routers' frozen-clock flight recorders export
+// byte-identical traces, as JSON and as Chrome trace events. Router
+// annotations name shard indices, so the fleets' ports do not leak in.
 func TestScatterGatherDeterministic(t *testing.T) {
-	run := func() (*httptest.ResponseRecorder, *Router) {
-		urls := []string{newServeShard(t), newServeShard(t), newServeShard(t)}
+	run := func() (search, traces, chrome *httptest.ResponseRecorder) {
+		_, urls := newFleet(t, 3)
 		rt, _ := newTestRouter(t, urls, func(c *Config) {
 			c.Replicas = 3
 			c.ExchangeRounds = 3
+			c.Tracer = tracing.New(tracing.Options{Seed: 1, Capacity: 64, ExemplarK: 2, Clock: c.Clock})
 		})
-		return do(rt, "POST", "/v1/search", clusterSearchBody), rt
+		return do(rt, "POST", "/v1/search", clusterSearchBody),
+			do(rt, "GET", "/debug/traces", ""), do(rt, "GET", "/debug/traces?format=chrome", "")
 	}
-	rec1, _ := run()
-	rec2, _ := run()
+	rec1, traces1, chrome1 := run()
+	rec2, traces2, chrome2 := run()
 	if rec1.Code != http.StatusOK || rec2.Code != http.StatusOK {
 		t.Fatalf("status %d / %d: %s", rec1.Code, rec2.Code, rec1.Body.String())
 	}
 	if !bytes.Equal(rec1.Body.Bytes(), rec2.Body.Bytes()) {
 		t.Fatalf("same-seed cluster searches differ:\n%s\nvs\n%s", rec1.Body.String(), rec2.Body.String())
+	}
+	if !strings.Contains(traces1.Body.String(), `"cluster/v1/search"`) || chrome1.Body.Len() == 0 {
+		t.Fatalf("router recorded no search trace: %s", traces1.Body.String())
+	}
+	if !bytes.Equal(traces1.Body.Bytes(), traces2.Body.Bytes()) {
+		t.Fatalf("same-seed router trace exports differ:\n%s\nvs\n%s", traces1.Body.String(), traces2.Body.String())
+	}
+	if !bytes.Equal(chrome1.Body.Bytes(), chrome2.Body.Bytes()) {
+		t.Fatalf("same-seed router Chrome exports differ:\n%s\nvs\n%s", chrome1.Body.String(), chrome2.Body.String())
 	}
 	var resp clusterSearchResponse
 	if err := json.Unmarshal(rec1.Body.Bytes(), &resp); err != nil {
@@ -87,7 +75,8 @@ func TestScatterGatherSurvivesDeadShard(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	t.Cleanup(dead.Close)
-	urls := []string{newServeShard(t), newServeShard(t), dead.URL}
+	_, urls := newFleet(t, 2)
+	urls = append(urls, dead.URL)
 	rt, reg := newTestRouter(t, urls, func(c *Config) {
 		c.Replicas = 3
 		c.ExchangeRounds = 2
@@ -114,7 +103,7 @@ func TestScatterGatherSurvivesDeadShard(t *testing.T) {
 // A bad request gets one shard's 4xx verdict relayed, not a 502: the
 // verdict is deterministic and identical on every replica.
 func TestScatterGatherRelays4xx(t *testing.T) {
-	urls := []string{newServeShard(t), newServeShard(t)}
+	_, urls := newFleet(t, 2)
 	rt, _ := newTestRouter(t, urls, nil)
 	bad := `{"recurrence": {"dims": [5, 5], "deps": [[1, 0]]}, "target": {"width": 4}, "chains": 99}`
 	rec := do(rt, "POST", "/v1/search", bad)
@@ -126,7 +115,7 @@ func TestScatterGatherRelays4xx(t *testing.T) {
 // Exhaustive sweeps skip the exchange machinery: single-shard forward,
 // no cluster addendum in the body.
 func TestExhaustiveSearchForwardsWhole(t *testing.T) {
-	urls := []string{newServeShard(t), newServeShard(t)}
+	_, urls := newFleet(t, 2)
 	rt, _ := newTestRouter(t, urls, nil)
 	body := `{"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]}, "target": {"width": 4}, "kind": "exhaustive"}`
 	rec := do(rt, "POST", "/v1/search", body)
@@ -148,7 +137,8 @@ func TestExhaustiveSearchForwardsWhole(t *testing.T) {
 // The router's /v1/metrics aggregates its own counters with every
 // shard's snapshot, index-aligned, null for unreachable shards.
 func TestMetricsAggregation(t *testing.T) {
-	urls := []string{newServeShard(t), newServeShard(t), "http://127.0.0.1:1"}
+	_, urls := newFleet(t, 2)
+	urls = append(urls, "http://127.0.0.1:1")
 	rt, _ := newTestRouter(t, urls, func(c *Config) { c.Replicas = 2 })
 	rec := do(rt, "GET", "/v1/metrics", "")
 	if rec.Code != http.StatusOK {

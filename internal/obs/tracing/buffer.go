@@ -9,8 +9,8 @@ package tracing
 import "sync"
 
 // Record is one completed trace in wire form. DurationNS equals the sum
-// of its stages' DurationNS exactly — the contract the loadgen
-// trace-assert mode and the clock.Fake tests enforce.
+// of its stages' DurationNS exactly — the contract the clock.Fake tests
+// in internal/serve enforce.
 type Record struct {
 	TraceID     string            `json:"trace_id"`
 	Seq         uint64            `json:"seq"`

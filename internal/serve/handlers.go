@@ -151,10 +151,15 @@ func (s *Server) resolveGraph(rec *RecurrenceSpec, fpHex string) (g *fm.Graph, d
 }
 
 // buildSchedules materializes every requested schedule, all validated
-// before anything is admitted.
-func buildSchedules(specs []ScheduleSpec, g *fm.Graph, dom *fm.Domain, tgt fm.Target) ([]fm.Schedule, error) {
+// before anything is admitted. The request deadline is checked before
+// each build, so a request whose deadline passes mid-way stops
+// building; its ctx error is returned unwrapped for writeEvalError.
+func buildSchedules(ctx context.Context, specs []ScheduleSpec, g *fm.Graph, dom *fm.Domain, tgt fm.Target) ([]fm.Schedule, error) {
 	out := make([]fm.Schedule, 0, len(specs))
 	for i := range specs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		sched, err := specs[i].build(g, dom, tgt)
 		if err != nil {
 			return nil, fmt.Errorf("schedule %d: %w", i, err)
@@ -199,6 +204,12 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		respondErr(rt, "error", w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	ctx, cancel, err := s.deadlineFor(rctx, r, req.DeadlineMS)
+	if err != nil {
+		respondErr(rt, "error", w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	defer cancel()
 	if len(req.Schedules) == 0 || len(req.Schedules) > maxSchedules {
 		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "request must carry 1..%d schedules, got %d", maxSchedules, len(req.Schedules))
 		return
@@ -213,18 +224,15 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	scheds, err := buildSchedules(req.Schedules, g, dom, tgt)
+	scheds, err := buildSchedules(ctx, req.Schedules, g, dom, tgt)
+	if errIsCtx(err) {
+		s.writeEvalError(rt, w, err, "while building schedules")
+		return
+	}
 	if err != nil {
 		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-
-	ctx, cancel, err := s.deadlineFor(rctx, r, req.DeadlineMS)
-	if err != nil {
-		respondErr(rt, "error", w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer cancel()
 
 	rt.Stage("admission")
 	start := s.clock.Now()
@@ -403,7 +411,7 @@ func (s *Server) handleSlack(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	_, rt := s.tracer.StartRequest(r.Context(), "/v1/slack", "decode")
+	rctx, rt := s.tracer.StartRequest(r.Context(), "/v1/slack", "decode")
 	defer rt.Finish()
 	if s.Draining() {
 		rt.Annotate("admission.reason", "draining")
@@ -415,6 +423,12 @@ func (s *Server) handleSlack(w http.ResponseWriter, r *http.Request) {
 		respondErr(rt, "error", w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	ctx, cancel, err := s.deadlineFor(rctx, r, 0)
+	if err != nil {
+		respondErr(rt, "error", w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	defer cancel()
 	g, dom, gfp, status, err := s.resolveGraph(req.Recurrence, req.GraphFP)
 	if err != nil {
 		respondErr(rt, "error", w, status, "%v", err)
@@ -425,13 +439,17 @@ func (s *Server) handleSlack(w http.ResponseWriter, r *http.Request) {
 		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	sched, err := req.Schedule.build(g, dom, tgt)
+	scheds, err := buildSchedules(ctx, []ScheduleSpec{req.Schedule}, g, dom, tgt)
+	if errIsCtx(err) {
+		s.writeEvalError(rt, w, err, "while building the schedule")
+		return
+	}
 	if err != nil {
 		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
 	rt.Stage("analyze")
-	edges, err := fm.SlackAnalysis(g, sched, tgt)
+	edges, err := fm.SlackAnalysis(g, scheds[0], tgt)
 	if err != nil {
 		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -462,10 +480,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	s.tracer.Handler().ServeHTTP(w, r)
 }
 
-// healthzResponse is the health endpoint's payload; loadgen's overload
-// drill polls QueueDepth to know when the paused queue has absorbed the
-// burst, and the cluster router's prober reads State to stop routing to
-// a shard before its refusals ever reach a client.
+// healthzResponse is the health endpoint's payload; QueueDepth shows
+// how much a paused queue has absorbed, and the cluster router's prober
+// reads State to stop routing to a shard before its refusals ever reach
+// a client.
 type healthzResponse struct {
 	Status string `json:"status"`
 	// State is the readiness verdict a load balancer should act on:

@@ -119,7 +119,7 @@ func (q *jobQueue) drainUpTo(max int) []*evalJob {
 
 // setPaused parks (or releases) the drain workers. While paused, admitted
 // jobs accumulate up to capacity — the deterministic-overload drill the
-// loadgen and the overload tests drive.
+// overload tests drive.
 func (q *jobQueue) setPaused(p bool) {
 	q.mu.Lock()
 	q.paused = p

@@ -30,8 +30,8 @@ type routeProbe struct {
 // body folds the given graph_fp directly. Both land on the same shard
 // because fm.Fingerprint(g, tgt) == fm.FingerprintFP(g.Fingerprint(),
 // tgt) by construction. Errors mean the body could not possibly be
-// served and the router may refuse it without burning a shard
-// round-trip.
+// served; the router still forwards it, so the client gets the shard's
+// own refusal.
 func RouteKey(body []byte) (uint64, error) {
 	var p routeProbe
 	if err := json.Unmarshal(body, &p); err != nil {

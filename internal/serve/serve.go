@@ -21,7 +21,8 @@
 //     reservation against a fixed-capacity queue; a full queue answers
 //     429 with Retry-After, never an unbounded goroutine pile.
 //   - Deadline propagation: the client's X-Deadline-Ms flows into a
-//     context that bounds queue wait, batch evaluation (through
+//     context that bounds schedule construction (checked before each
+//     schedule), queue wait, batch evaluation (through
 //     workspan.Pool.RunWith), and annealing (checked at exchange
 //     barriers), so a timed-out client never keeps the server working.
 //   - Graceful degradation: under overload or an operator-engaged shed
@@ -66,8 +67,8 @@ const (
 	// queues, searches only replay stored results.
 	ModeShed
 	// ModePause is ModeShed with the drain workers parked: admitted jobs
-	// accumulate in the queue without being processed. Used by overload
-	// drills (loadgen -overload) and tests to fill the queue
+	// accumulate in the queue without being processed. The overload
+	// tests (TestOverloadExactCounts) use it to fill the queue
 	// deterministically.
 	ModePause
 )

@@ -289,15 +289,16 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+const slackBody = `{
+	"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]},
+	"target": {"width": 4},
+	"schedule": {"kind": "antidiagonal"}
+}`
+
 func TestSlackEndpoint(t *testing.T) {
 	s := newTestServer(t, nil)
-	body := `{
-		"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]},
-		"target": {"width": 4},
-		"schedule": {"kind": "antidiagonal"}
-	}`
 	var resp SlackResponse
-	if code, rec := post(t, s, "GET", "/v1/slack", body, &resp); code != 200 {
+	if code, rec := post(t, s, "GET", "/v1/slack", slackBody, &resp); code != 200 {
 		t.Fatalf("slack: %d %s", code, rec.Body.String())
 	}
 	if resp.Summary.Edges == 0 || len(resp.Edges) != resp.Summary.Edges {
@@ -332,11 +333,8 @@ func TestAdmissionEndpoint(t *testing.T) {
 // (Sscanf-style prefix parsing once accepted "100abc" as 100).
 func TestMalformedDeadlineHeader(t *testing.T) {
 	s := newTestServer(t, nil)
-	for _, path := range []string{"/v1/eval", "/v1/search"} {
-		body := evalBody
-		if path == "/v1/search" {
-			body = searchBody
-		}
+	for _, path := range []string{"/v1/eval", "/v1/search", "/v1/slack"} {
+		body := map[string]string{"/v1/eval": evalBody, "/v1/search": searchBody, "/v1/slack": slackBody}[path]
 		for _, h := range []string{"abc", "100abc", "-5", "0", " 100", "1e3"} {
 			req := httptest.NewRequest("POST", path, strings.NewReader(body))
 			req.Header.Set("X-Deadline-Ms", h)
@@ -354,6 +352,24 @@ func TestMalformedDeadlineHeader(t *testing.T) {
 	s.Handler().ServeHTTP(rec, req)
 	if rec.Code != 200 {
 		t.Fatalf("well-formed X-Deadline-Ms: want 200, got %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestDeadlineBoundsScheduleConstruction: the X-Deadline-Ms clock
+// starts right after decode and is checked before each schedule is
+// built, so an eval of 16 list schedules whose deadline passes during
+// the first build answers 504 without building the other 15.
+func TestDeadlineBoundsScheduleConstruction(t *testing.T) {
+	s := newTestServer(t, nil)
+	body := fmt.Sprintf(`{"recurrence": {"dims": [16, 16], "deps": [[1, 0], [0, 1]]},
+		"target": {"width": 32, "height": 32}, "schedules": [%s{"kind": "list"}]}`,
+		strings.Repeat(`{"kind": "list"}, `, 15))
+	req := httptest.NewRequest("POST", "/v1/eval", strings.NewReader(body))
+	req.Header.Set("X-Deadline-Ms", "20")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != 504 || !strings.Contains(rec.Body.String(), "while building schedules") {
+		t.Fatalf("want 504 while building schedules, got %d %s", rec.Code, rec.Body.String())
 	}
 }
 
