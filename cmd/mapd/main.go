@@ -65,7 +65,7 @@ func main() {
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline when the client sends none")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for crash-safe anneal checkpoints (enables resume across restarts)")
-	storeDir := flag.String("store-dir", "", "directory for the persistent mapping atlas (warm answers across restarts)")
+	storeDir := flag.String("store-dir", "", "directory for the persistent mapping atlas (warm eval answers across restarts)")
 	obsOut := flag.String("obs-out", "", "write the final metrics snapshot as JSON to this path on shutdown")
 	admission := flag.Bool("admission-control", false, "enable POST /v1/admission (runtime serve/shed/pause switching)")
 	traceBuf := flag.Int("trace-buf", 256, "completed-trace ring buffer capacity (0 disables tracing)")

@@ -2,9 +2,9 @@
 // shards (internal/cluster): it owns a rendezvous-hash ring over the
 // shard addresses, routes /v1/eval and /v1/slack by content — the
 // fm.Fingerprint(graph, target) routing key — with replicated failover
-// and hedged retries, and runs /v1/search as a scatter-gather anneal
-// whose exchange barriers it arbitrates with a deterministic winner
-// rule. GET /v1/metrics aggregates every shard's snapshot next to the
+// and hedged retries, and runs a valid /v1/search anneal as a
+// scatter-gather whose exchange barriers it arbitrates with a
+// deterministic winner rule; other searches go whole to one shard. GET /v1/metrics aggregates every shard's snapshot next to the
 // router's own cluster.* counters; GET /healthz reports the per-shard
 // routability view; POST /v1/probe forces an immediate health sweep.
 //
@@ -47,7 +47,7 @@ func main() {
 	listen := flag.String("listen", ":9090", "address to listen on")
 	shards := flag.String("shards", "", "comma-separated shard base URLs, index order is the cluster identity (required)")
 	replicas := flag.Int("replicas", 2, "replica-set size per key (primary + failover/hedge targets)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed hedge trigger; 0 derives it from the latency quantile, negative disables hedging")
+	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed hedge trigger; 0 derives it from the latency quantile once 16 forwards are timed, negative disables hedging")
 	hedgeQuantile := flag.Float64("hedge-quantile", 99, "latency percentile a request must outlive before its hedge fires")
 	hedgeMin := flag.Duration("hedge-min", 2*time.Millisecond, "floor for the derived hedge delay")
 	exchangeRounds := flag.Int("exchange-rounds", 3, "scatter-gather barrier rounds per /v1/search anneal")

@@ -1,6 +1,6 @@
 // Scatter-gather search: the in-process annealer's exchange barrier,
-// generalized across processes. The router fans one /v1/search anneal
-// over the key's replica set as a sequence of rounds; in each round
+// generalized across processes. The router fans one valid /v1/search
+// anneal over the key's replica set as a sequence of rounds; in each round
 // every participating shard runs an independent slice of the iteration
 // budget (seeded by its global shard index and the round number, so no
 // two slices share an RNG stream), and between rounds the router is the
@@ -54,71 +54,45 @@ type clusterSearchResponse struct {
 	Cluster searchClusterInfo `json:"cluster"`
 }
 
+// handleSearch scatters a valid anneal over the key's replica set and
+// relays every other search whole to /v1/search on one replica: a sweep,
+// which is already deterministic on any single shard, and any body mapd
+// would refuse. A search is refused in one place, mapd's own validator,
+// so the router's answer to a malformed search is a single mapd's, byte
+// for byte. Relayed searches are not hedged: a sweep outlives a hedge
+// delay drawn from millisecond evals, and a hedge would only price it on
+// a second replica.
 func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	rt.mSearchRequests.Inc()
 	rctx, tr := rt.tracer.StartRequest(r.Context(), "cluster/v1/search", "decode")
 	defer tr.Finish()
-	if rt.Draining() {
-		rt.mRefused.Inc()
-		seal(tr, "rejected")
-		writeJSONError(w, http.StatusServiceUnavailable, "router is draining")
+	in, ok := rt.admit(tr, w, r)
+	if !ok {
 		return
 	}
-	body, err := rt.readBody(w, r)
-	if err != nil {
-		seal(tr, "error")
-		writeJSONError(w, http.StatusBadRequest, "read request: %v", err)
+	req, ok := scatterable(in)
+	if !ok {
+		rt.relay(rctx, tr, w, r, "/v1/search", in, false)
 		return
 	}
-	// Strict decode, mirroring the shard's contract: a typo'd field must
-	// fail loudly here, not be silently dropped by the re-marshaling the
-	// exchange protocol performs.
-	var req serve.SearchRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		seal(tr, "error")
-		writeJSONError(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
-	tr.Stage("route")
-	key, err := serve.RouteKey(body)
-	if err != nil {
-		seal(tr, "error")
-		writeJSONError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	cands, primary := rt.plan(key)
-	tr.Annotate("route.key", strconv.FormatUint(key, 16))
-	tr.Annotate("route.primary", strconv.Itoa(primary))
+	rt.scatterGather(rctx, tr, w, req, in.cands, in.primary)
+}
 
-	// An exhaustive sweep is already deterministic on any single shard;
-	// forward it whole (failover and hedging included) instead of
-	// pretending it has rounds to exchange.
-	if req.Kind == "exhaustive" {
-		tr.Stage("forward")
-		res, ok := rt.forward(rctx, "/v1/search", body, forwardOptions{
-			cands:    cands,
-			traceID:  tr.TraceID(),
-			hedge:    true,
-			deadline: r.Header.Get("X-Deadline-Ms"),
-		})
-		if !ok {
-			rt.mNoReplica.Inc()
-			seal(tr, "error")
-			writeJSONError(w, http.StatusBadGateway, "no replica could serve the search (%d tried)", len(cands))
-			return
-		}
-		rt.accountServed(tr, res, primary)
-		copyShardResponse(w, res, primary)
-		return
+// scatterable decodes a routable body as an anneal that passes mapd's own
+// strict decode and Validate: the only search the router fans out, since
+// the exchange protocol re-marshals the request and must not launder a
+// body mapd would refuse.
+func scatterable(in routed) (*serve.SearchRequest, bool) {
+	if in.unroutable {
+		return nil, false
 	}
-	if req.Iters < 0 {
-		seal(tr, "error")
-		writeJSONError(w, http.StatusUnprocessableEntity, "iters %d must be non-negative", req.Iters)
-		return
+	var req serve.SearchRequest
+	dec := json.NewDecoder(bytes.NewReader(in.body))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&req) != nil || dec.More() || req.Validate() != nil || req.Kind == "exhaustive" {
+		return nil, false
 	}
-	rt.scatterGather(rctx, tr, w, &req, cands, primary)
+	return &req, true
 }
 
 // sliceOutcome is one shard's answer to one round.

@@ -164,7 +164,7 @@ func (q streamReq) request() *http.Request {
 // Request kinds of the differential stream.
 const (
 	kindEval       = "inline eval"
-	kindEval4xx    = "malformed eval"
+	kindMalformed  = "malformed request"
 	kindGraphFP    = "graph_fp eval"
 	kindSlack      = "slack"
 	kindAnneal     = "anneal search"
@@ -186,18 +186,6 @@ var expectedDiffs = map[string]func(fleet, single answer) bool{
 	kindGraphFP: func(fleet, single answer) bool {
 		return fleet.status == http.StatusNotFound && single.status == http.StatusOK
 	},
-	// A search answers with its store's best mapping when that beats
-	// what it found (from_store). While shard 0 is down its keys' evals
-	// are priced into the replica's store, so the shard that serves a
-	// later sweep may hold a different best than a single mapd does.
-	kindExhaustive: func(fleet, single answer) bool {
-		return fleet.status == single.status && (fromStore(fleet) || fromStore(single))
-	},
-}
-
-func fromStore(a answer) bool {
-	var resp serve.SearchResponse
-	return json.Unmarshal([]byte(a.body), &resp) == nil && resp.FromStore
 }
 
 var streamDeps = []string{`[[1, 0], [0, 1]]`, `[[1, 0], [0, 1], [1, 1]]`}
@@ -221,13 +209,29 @@ func graphFP(t testing.TB, dims [2]int, deps string) uint64 {
 	return gfp
 }
 
+// malformedSearches are the search bodies mapd refuses, one per way a
+// search can be refused before it runs. diffStream spreads all of them
+// over the stream, so every fleet phase relays some.
+var malformedSearches = []string{
+	`{"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]}, "target": {"width": 4}, "iters": -1}`,
+	`{"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]}, "target": {"width": 4}, "iters": 1048577}`,
+	`{"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]}, "target": {"width": 4}, "chains": 100000}`,
+	`{"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]}, "target": {"width": 4}, "objective": "speed"}`,
+	`{"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]}, "target": {"width": 4}, "kind": "tabu"}`,
+	`{"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]}, "target": {"width": 4}, "colour": 1}`,
+	`{"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]}, "target": {"width": 0}}`,
+	`{"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]}, "target": {"width": 4}} {}`,
+	`{"graph_fp": "zz", "target": {"width": 4}}`,
+}
+
 // diffStream builds the seeded sequential request stream: inline evals
 // of every schedule kind, malformed evals, graph_fp evals of graphs the
-// stream already sent inline, slack requests, and anneal and exhaustive
-// searches. Its first row sends one graph inline under width 4 only;
-// its last row asks for that graph by fingerprint under a target whose
-// key another shard owns in the 2- and 3-shard rings, so a healthy
-// fleet answers that row 404 by construction.
+// stream already sent inline, slack requests, anneal and exhaustive
+// searches, and every body of malformedSearches at evenly spaced rows.
+// Its first row sends one graph inline under width 4 only; its last row
+// asks for that graph by fingerprint under a target whose key another
+// shard owns in the 2- and 3-shard rings, so a healthy fleet answers
+// that row 404 by construction.
 func diffStream(t testing.TB, seed int64, n int) []streamReq {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -264,7 +268,13 @@ func diffStream(t testing.TB, seed int64, n int) []streamReq {
 		`{"target": {"width": 4}, "schedules": [{"kind": "serial"}]}`,
 		`{"recurrence": {"dims": [5, 5]`,
 	}
+	bad := 0 // malformedSearches sent so far
 	for len(out) < n-1 {
+		if bad < len(malformedSearches) && len(out) >= (bad+1)*(n-1)/(len(malformedSearches)+1) {
+			out = append(out, streamReq{kindMalformed, "POST", "/v1/search", malformedSearches[bad]})
+			bad++
+			continue
+		}
 		g := graph{[2]int{4 + rng.Intn(4), 4 + rng.Intn(4)}, streamDeps[rng.Intn(len(streamDeps))]}
 		rec, tgt := recurrenceJSON(g.dims, g.deps), targets[rng.Intn(len(targets))]
 		switch draw := rng.Intn(100); {
@@ -281,7 +291,7 @@ func diffStream(t testing.TB, seed int64, n int) []streamReq {
 			out = append(out, streamReq{kindGraphFP, "POST", "/v1/eval", fmt.Sprintf(
 				`{"graph_fp": "%x", "target": %s, "schedules": [%s]}`, graphFP(t, old.dims, old.deps), tgt, schedule())})
 		case draw < 83:
-			out = append(out, streamReq{kindEval4xx, "POST", "/v1/eval", malformed[rng.Intn(len(malformed))]})
+			out = append(out, streamReq{kindMalformed, "POST", "/v1/eval", malformed[rng.Intn(len(malformed))]})
 		case draw < 93:
 			out = append(out, streamReq{kindSlack, "GET", "/v1/slack", fmt.Sprintf(
 				`{"recurrence": %s, "target": %s, "schedule": %s}`, rec, tgt, schedule())})
@@ -333,11 +343,17 @@ func answerOf(rec *httptest.ResponseRecorder) answer {
 // exactly one shard, and at least two shards serving when there are.
 func TestFleetAnswersMatchSingleMapd(t *testing.T) {
 	stream := diffStream(t, 1, 400)
-	kinds := map[string]int{}
+	kinds, badSearches := map[string]int{}, 0
 	for _, q := range stream {
 		kinds[q.kind]++
+		if q.kind == kindMalformed && q.path == "/v1/search" {
+			badSearches++
+		}
 	}
 	t.Logf("stream of %d requests: %v", len(stream), kinds)
+	if badSearches != len(malformedSearches) {
+		t.Fatalf("stream carries %d malformed searches, want all %d", badSearches, len(malformedSearches))
+	}
 
 	single := newFleetShard(t)
 	want := make([]answer, len(stream))
@@ -346,9 +362,9 @@ func TestFleetAnswersMatchSingleMapd(t *testing.T) {
 		switch a := want[i]; {
 		case a.status >= 500:
 			t.Fatalf("single mapd: request %d (%s) answered %d: %s", i, q.kind, a.status, a.body)
-		case a.status >= 400 && q.kind != kindEval4xx:
+		case a.status >= 400 && q.kind != kindMalformed:
 			t.Fatalf("single mapd: request %d (%s) answered %d: %s", i, q.kind, a.status, a.body)
-		case a.status < 400 && q.kind == kindEval4xx:
+		case a.status < 400 && q.kind == kindMalformed:
 			t.Fatalf("single mapd: malformed request %d answered %d: %s", i, a.status, a.body)
 		}
 	}
@@ -570,9 +586,10 @@ func TestDeadlineEvalStatusMatchesSingleMapd(t *testing.T) {
 	}
 }
 
-// fuzzRouterBodies seed FuzzRouterRoutes: the cluster tests' bodies plus
-// copies of serve's fuzz seeds (unexported there).
-var fuzzRouterBodies = []string{
+// fuzzRouterBodies seed FuzzRouterRoutes: the cluster tests' bodies,
+// copies of serve's fuzz seeds (unexported there), and every malformed
+// search the router relays.
+var fuzzRouterBodies = append([]string{
 	routeBody,
 	clusterSearchBody,
 	`{"recurrence": {"dims": [5, 5], "deps": [[1, 0]]}, "target": {"width": 4}, "chains": 99}`,
@@ -592,7 +609,7 @@ var fuzzRouterBodies = []string{
 	`{"target": {"width": 4}}`,
 	`{"recurrence": null, "graph_fp": "zz"}`,
 	`{"recurrence": {"dims": [4, 4], "deps": [[1, 0], [0, 1]]}, "target": {"width": 4294967296, "height": 4294967296}, "schedules": [{"kind": "list"}]}`,
-}
+}, malformedSearches...)
 
 // FuzzRouterRoutes sends arbitrary bodies through a router over two
 // real in-process shards, each under a 300 ms deadline. A panic fails

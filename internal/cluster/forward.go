@@ -17,9 +17,10 @@
 // retrying them elsewhere would just duplicate the refusal.
 //
 // The hedge delay rides the Clock seam: fixed (HedgeDelay), or derived
-// from the observed forward-latency quantile. Under a clock.Fake the
-// hedge fires exactly when a test advances past the delay — and never
-// fires under the frozen clock the byte-reproducibility drills run.
+// from the observed forward-latency quantile once the window is warm.
+// Under a clock.Fake the hedge fires exactly when a test advances past
+// the delay — and never fires under the frozen clock the
+// byte-reproducibility drills run.
 package cluster
 
 import (
@@ -130,8 +131,10 @@ func (rt *Router) forward(ctx context.Context, path string, body []byte, o forwa
 }
 
 // hedgeDelay resolves the configured hedge trigger: fixed when set,
-// otherwise the observed latency quantile floored at HedgeMin, falling
-// back to the floor while the window is cold. (ok=false disables.)
+// otherwise the observed latency quantile floored at HedgeMin. ok=false
+// disables the hedge, and so does a cold window: with no latency to
+// compare against, a hedge would price a cold shard's first request
+// twice.
 func (rt *Router) hedgeDelay() (time.Duration, bool) {
 	if rt.cfg.HedgeDelay < 0 {
 		return 0, false
@@ -140,10 +143,10 @@ func (rt *Router) hedgeDelay() (time.Duration, bool) {
 		return rt.cfg.HedgeDelay, true
 	}
 	d, warm := rt.lat.quantile(rt.cfg.HedgeQuantile)
-	if !warm || d < rt.cfg.HedgeMin {
-		return rt.cfg.HedgeMin, true
+	if !warm {
+		return 0, false
 	}
-	return d, true
+	return max(d, rt.cfg.HedgeMin), true
 }
 
 // attempt issues one shard request and delivers its outcome. The results

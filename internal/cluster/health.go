@@ -68,15 +68,18 @@ func (h *healthState) snapshot() ([]bool, []string) {
 // what stats.Percentile consumes.
 type latencyWindow struct {
 	mu      sync.Mutex
-	samples []float64 // guarded by mu; ring buffer, len == cap once warm
+	samples []float64 // guarded by mu; ring buffer, len == cap once full
 	next    int       // guarded by mu
-	warm    bool      // guarded by mu; true once the ring has wrapped
 }
 
 // latencyWindowSize bounds the quantile's memory: enough samples for a
 // stable upper quantile, small enough that a latency regime change
-// re-derives the hedge delay within a few hundred requests.
-const latencyWindowSize = 256
+// re-derives the hedge delay within a few hundred requests. Below
+// latencyWindowMin samples the window is cold and names no quantile.
+const (
+	latencyWindowSize = 256
+	latencyWindowMin  = 16
+)
 
 func newLatencyWindow() *latencyWindow {
 	return &latencyWindow{samples: make([]float64, 0, latencyWindowSize)}
@@ -91,7 +94,6 @@ func (l *latencyWindow) observe(d time.Duration) {
 	}
 	l.samples[l.next] = d.Seconds()
 	l.next = (l.next + 1) % latencyWindowSize
-	l.warm = true
 }
 
 // quantile returns the q-th percentile (q in [0,100]) of the window, and
@@ -99,7 +101,7 @@ func (l *latencyWindow) observe(d time.Duration) {
 func (l *latencyWindow) quantile(q float64) (time.Duration, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.samples) < 16 {
+	if len(l.samples) < latencyWindowMin {
 		return 0, false
 	}
 	sec := stats.Percentile(l.samples, q)

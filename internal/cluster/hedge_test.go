@@ -126,15 +126,21 @@ func TestHedgeFiresAtExactDelay(t *testing.T) {
 }
 
 // A derived hedge delay comes from the latency window's quantile,
-// floored at HedgeMin while cold.
+// floored at HedgeMin. A cold window derives none: with nothing to
+// compare against, a hedge would price a cold shard's first request
+// twice.
 func TestDerivedHedgeDelay(t *testing.T) {
 	fleet := newShardFleet(t, 2)
-	rt, _ := newTestRouter(t, fleet.urls, func(c *Config) {
-		c.HedgeDelay = 0 // derive
+	derive := func(c *Config) {
+		c.HedgeDelay = 0
 		c.HedgeMin = 3 * time.Millisecond
-	})
-	if d, ok := rt.hedgeDelay(); !ok || d != 3*time.Millisecond {
-		t.Fatalf("cold window: delay %v ok=%v, want the 3ms floor", d, ok)
+	}
+	rt, _ := newTestRouter(t, fleet.urls, derive)
+	for i := 0; i < latencyWindowMin-1; i++ {
+		rt.lat.observe(10 * time.Millisecond)
+	}
+	if d, ok := rt.hedgeDelay(); ok {
+		t.Fatalf("cold window of %d samples: delay %v ok=true, want no hedge", latencyWindowMin-1, d)
 	}
 	for i := 0; i < 64; i++ {
 		rt.lat.observe(10 * time.Millisecond)
@@ -142,8 +148,79 @@ func TestDerivedHedgeDelay(t *testing.T) {
 	if d, ok := rt.hedgeDelay(); !ok || d != 10*time.Millisecond {
 		t.Fatalf("warm window: delay %v ok=%v, want the 10ms p99", d, ok)
 	}
+	fast, _ := newTestRouter(t, fleet.urls, derive)
+	for i := 0; i < 64; i++ {
+		fast.lat.observe(time.Millisecond)
+	}
+	if d, ok := fast.hedgeDelay(); !ok || d != 3*time.Millisecond {
+		t.Fatalf("fast warm window: delay %v ok=%v, want the 3ms floor", d, ok)
+	}
 	rt2, _ := newTestRouter(t, fleet.urls, nil) // HedgeDelay -1
 	if _, ok := rt2.hedgeDelay(); ok {
 		t.Fatalf("negative HedgeDelay must disable hedging")
+	}
+}
+
+// A search the router relays whole — a sweep, or a body mapd refuses —
+// is never hedged: a sweep outlives any delay derived from millisecond
+// evals, and a hedge would only price it on a second replica. While the
+// primary holds the request no hedge timer is armed, and the backup
+// receives nothing even after the clock passes the hedge delay.
+func TestRelayedSearchIsNotHedged(t *testing.T) {
+	leaktest.Check(t)
+	clk := clock.NewFake(time.Unix(3000, 0))
+	var primary atomic.Int64
+	var hits [2]atomic.Int64
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	urls := make([]string, 2)
+	for i := range urls {
+		i := i
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits[i].Add(1)
+			_, _ = io.Copy(io.Discard, r.Body)
+			if int64(i) == primary.Load() {
+				held <- struct{}{}
+				<-release
+			}
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintf(w, `{"shard": %d}`, i)
+		}))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	// Registered after the servers' Close, so it runs first: a failed
+	// check cannot leave a handler blocked under a closing server.
+	t.Cleanup(func() { close(release) })
+	rt, reg := newTestRouter(t, urls, func(c *Config) {
+		c.HedgeDelay = 50 * time.Millisecond
+		c.Clock = clk
+	})
+	p, backup := replicaSet(t, rt)
+	primary.Store(int64(p))
+	for _, body := range []string{
+		`{"graph_fp": "deadbeefcafe", "target": {"width": 4}, "kind": "exhaustive"}`,
+		`{"graph_fp": "deadbeefcafe", "target": {"width": 4}, "iters": -1}`,
+	} {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() { done <- do(rt, "POST", "/v1/search", body) }()
+		select {
+		case <-held:
+		case rec := <-done:
+			t.Fatalf("%s: answered %d without reaching the primary: %s", body, rec.Code, rec.Body.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+		if n := clk.Waiters(); n != 0 {
+			t.Fatalf("%s: %d hedge timers armed while the primary holds it, want 0", body, n)
+		}
+		clk.Advance(time.Second)
+		time.Sleep(20 * time.Millisecond)
+		release <- struct{}{}
+		rec := <-done
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cluster-Shard") != strconv.Itoa(p) {
+			t.Fatalf("%s: status %d from shard %s, want the primary's 200", body, rec.Code, rec.Header().Get("X-Cluster-Shard"))
+		}
+	}
+	if n, fired := hits[backup].Load(), counter(reg, "cluster.hedges.fired"); n != 0 || fired != 0 {
+		t.Fatalf("backup received %d requests, %d hedges fired; want 0 and 0", n, fired)
 	}
 }

@@ -19,7 +19,8 @@
 //   - scatter-gather search (exchange.go): /v1/search fans annealing
 //     slices across the replica set and the router arbitrates exchange
 //     barriers between rounds, generalizing the in-process multi-chain
-//     exchange across processes with a deterministic winner rule.
+//     exchange across processes with a deterministic winner rule; every
+//     other search (a sweep, or one mapd would refuse) is relayed whole.
 //
 // The router holds no durable state and no request affinity: everything
 // it knows (ring scores, health marks, latency window) is reconstructed
@@ -28,6 +29,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -53,7 +55,8 @@ type Config struct {
 	Replicas int
 	// HedgeDelay, when positive, is a fixed hedge trigger. Zero derives
 	// the delay from the observed forward-latency quantile (HedgeQuantile,
-	// floored at HedgeMin). Negative disables hedging.
+	// floored at HedgeMin); no hedge fires until the latency window holds
+	// 16 samples. Negative disables hedging.
 	HedgeDelay time.Duration
 	// HedgeQuantile is the latency percentile (0..100) a request must
 	// outlive before its hedge fires. Default 99.
@@ -230,10 +233,12 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 	return io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 }
 
+// writeJSONError writes a refusal the router authors itself in mapd's
+// error layout, so a client parses one shape whoever refused.
 func writeJSONError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, "{\"error\": %q}\n", fmt.Sprintf(format, args...))
+	writeJSON(w, status, struct {
+		Error string `json:"error"`
+	}{fmt.Sprintf(format, args...)})
 }
 
 // seal finishes the trace before the body is written, matching the
@@ -247,53 +252,79 @@ func seal(tr *tracing.Request, outcome string) {
 	tr.Finish()
 }
 
+// routed is a request body with its routing plan.
+type routed struct {
+	body    []byte
+	cands   []int
+	primary int
+	// unroutable marks a body serve.RouteKey refused; it is planned
+	// under key 0.
+	unroutable bool
+}
+
+// admit is the prologue every routed request shares: refuse while
+// draining, read the body, and plan its replicas by content. A body
+// RouteKey refuses still goes to a shard, under key 0: the shard's
+// refusal is the one a single mapd gives, so the answer does not depend
+// on the fleet. ok=false means admit has already answered.
+func (rt *Router) admit(tr *tracing.Request, w http.ResponseWriter, r *http.Request) (in routed, ok bool) {
+	if rt.Draining() {
+		rt.mRefused.Inc()
+		seal(tr, "rejected")
+		writeJSONError(w, http.StatusServiceUnavailable, "router is draining")
+		return routed{}, false
+	}
+	body, err := rt.readBody(w, r)
+	if err != nil {
+		seal(tr, "error")
+		writeJSONError(w, http.StatusBadRequest, "decode request: %v", err)
+		return routed{}, false
+	}
+	tr.Stage("route")
+	key, err := serve.RouteKey(body)
+	if err != nil {
+		tr.Annotate("route.unroutable", "true")
+	}
+	cands, primary := rt.plan(key)
+	tr.Annotate("route.key", strconv.FormatUint(key, 16))
+	tr.Annotate("route.primary", strconv.Itoa(primary))
+	return routed{body: body, cands: cands, primary: primary, unroutable: err != nil}, true
+}
+
+// relay forwards the body whole to path on its replicas, with failover
+// (and hedging when hedge is set), and passes the winning shard's answer
+// through verbatim plus X-Cluster-* attribution headers.
+func (rt *Router) relay(ctx context.Context, tr *tracing.Request, w http.ResponseWriter, r *http.Request, path string, in routed, hedge bool) {
+	tr.Stage("forward")
+	res, ok := rt.forward(ctx, path, in.body, forwardOptions{
+		cands:    in.cands,
+		traceID:  tr.TraceID(),
+		hedge:    hedge,
+		deadline: r.Header.Get("X-Deadline-Ms"),
+	})
+	if !ok {
+		rt.mNoReplica.Inc()
+		tr.Annotate("route.exhausted", strconv.Itoa(len(in.cands)))
+		seal(tr, "error")
+		writeJSONError(w, http.StatusBadGateway, "no replica could serve the request (%d tried)", len(in.cands))
+		return
+	}
+	rt.accountServed(tr, res, in.primary)
+	copyShardResponse(w, res, in.primary)
+}
+
 // handleForward serves the single-shard endpoints (/v1/eval, /v1/slack):
-// route by content, forward with failover and hedging, pass the winning
-// shard's answer through verbatim plus X-Cluster-* attribution headers.
+// route by content, then relay with failover and hedging.
 func (rt *Router) handleForward(path string, count func()) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		count()
 		rctx, tr := rt.tracer.StartRequest(r.Context(), "cluster"+path, "decode")
 		defer tr.Finish()
-		if rt.Draining() {
-			rt.mRefused.Inc()
-			seal(tr, "rejected")
-			writeJSONError(w, http.StatusServiceUnavailable, "router is draining")
-			return
-		}
-		body, err := rt.readBody(w, r)
-		if err != nil {
-			seal(tr, "error")
-			writeJSONError(w, http.StatusBadRequest, "read request: %v", err)
-			return
-		}
-		tr.Stage("route")
-		// A body RouteKey refuses still goes to a shard, under key 0: the
-		// shard's refusal is the one a single mapd gives, so the answer
-		// does not depend on the fleet.
-		key, err := serve.RouteKey(body)
-		if err != nil {
-			tr.Annotate("route.unroutable", "true")
-		}
-		cands, primary := rt.plan(key)
-		tr.Annotate("route.key", strconv.FormatUint(key, 16))
-		tr.Annotate("route.primary", strconv.Itoa(primary))
-		tr.Stage("forward")
-		res, ok := rt.forward(rctx, path, body, forwardOptions{
-			cands:    cands,
-			traceID:  tr.TraceID(),
-			hedge:    true,
-			deadline: r.Header.Get("X-Deadline-Ms"),
-		})
+		in, ok := rt.admit(tr, w, r)
 		if !ok {
-			rt.mNoReplica.Inc()
-			tr.Annotate("route.exhausted", strconv.Itoa(len(cands)))
-			seal(tr, "error")
-			writeJSONError(w, http.StatusBadGateway, "no replica could serve the request (%d tried)", len(cands))
 			return
 		}
-		rt.accountServed(tr, res, primary)
-		copyShardResponse(w, res, primary)
+		rt.relay(rctx, tr, w, r, path, in, true)
 	}
 }
 

@@ -202,11 +202,32 @@ func TestAllReplicasDownIs502(t *testing.T) {
 func TestUnroutableBodyIs422(t *testing.T) {
 	_, urls := newFleet(t, 2)
 	rt, _ := newTestRouter(t, urls, nil)
+	single := newFleetShard(t)
 	const body = `{"target": {"width": 4}}`
-	rec := do(rt, "POST", "/v1/eval", body)
-	want := newFleetShard(t).serve(httptest.NewRequest("POST", "/v1/eval", strings.NewReader(body)))
-	if rec.Code != http.StatusUnprocessableEntity || rec.Body.String() != want.Body.String() {
-		t.Fatalf("status %d %s, want a single mapd's 422 %s", rec.Code, rec.Body.String(), want.Body.String())
+	for _, path := range []string{"/v1/eval", "/v1/search"} {
+		rec := do(rt, "POST", path, body)
+		want := single.serve(httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if rec.Code != http.StatusUnprocessableEntity || rec.Body.String() != want.Body.String() {
+			t.Fatalf("%s: status %d %s, want a single mapd's 422 %s", path, rec.Code, rec.Body.String(), want.Body.String())
+		}
+	}
+}
+
+// A body over serve.MaxBodyBytes is refused by the router itself, before
+// any shard sees it, in a single mapd's status, layout and words.
+func TestOversizeBodyMatchesSingleMapd(t *testing.T) {
+	fleet := newShardFleet(t, 2)
+	rt, _ := newTestRouter(t, fleet.urls, nil)
+	single := newFleetShard(t)
+	body := `{"graph_fp": "` + strings.Repeat("a", serve.MaxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/eval", "/v1/search"} {
+		rec := do(rt, "POST", path, body)
+		want := single.serve(httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if want.Code != http.StatusBadRequest || rec.Code != want.Code || rec.Body.String() != want.Body.String() ||
+			rec.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Fatalf("%s\nrouter: %d %v %s\nsingle: %d %v %s", path,
+				rec.Code, rec.Header(), rec.Body.String(), want.Code, want.Header(), want.Body.String())
+		}
 	}
 }
 

@@ -100,15 +100,25 @@ func TestScatterGatherSurvivesDeadShard(t *testing.T) {
 	}
 }
 
-// A bad request gets one shard's 4xx verdict relayed, not a 502: the
-// verdict is deterministic and identical on every replica.
+// A bad search gets a single mapd's 4xx, byte for byte, not a 502 and
+// not a refusal in the router's own words. The router relays a body
+// mapd's validator refuses, or one it cannot route, whole; it scatters a
+// valid anneal of a graph no shard knows, and relays the first slice's
+// verdict, which is the request's and the same on every replica.
 func TestScatterGatherRelays4xx(t *testing.T) {
 	_, urls := newFleet(t, 2)
 	rt, _ := newTestRouter(t, urls, nil)
-	bad := `{"recurrence": {"dims": [5, 5], "deps": [[1, 0]]}, "target": {"width": 4}, "chains": 99}`
-	rec := do(rt, "POST", "/v1/search", bad)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want the shards' 422 relayed: %s", rec.Code, rec.Body.String())
+	single := newFleetShard(t)
+	for _, bad := range []string{
+		`{"recurrence": {"dims": [5, 5], "deps": [[1, 0]]}, "target": {"width": 4}, "chains": 99}`,
+		`{"recurrence": {"dims": [4, 4], "deps": [[0, -1]]}, "target": {"width": 4}}`,
+		`{"graph_fp": "1f2e3d4c5b6a7988", "target": {"width": 4}, "iters": 300}`,
+	} {
+		rec := do(rt, "POST", "/v1/search", bad)
+		want := single.serve(httptest.NewRequest("POST", "/v1/search", strings.NewReader(bad)))
+		if want.Code < 400 || want.Code >= 500 || rec.Code != want.Code || rec.Body.String() != want.Body.String() {
+			t.Fatalf("%s\nrouter: %d %s\nsingle: %d %s", bad, rec.Code, rec.Body.String(), want.Code, want.Body.String())
+		}
 	}
 }
 

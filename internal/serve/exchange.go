@@ -7,8 +7,8 @@
 //  1. the slice's RNG streams derive from (seed, shard rank, round), so
 //     no two shards or rounds overlap;
 //  2. the slice starts from the request's Init mapping (ASAP-repaired),
-//     never from local mutable state — the store is written, not read,
-//     so a shard's private history cannot leak into the answer;
+//     never from local mutable state — it neither reads nor writes the
+//     atlas, so a shard's private history cannot leak into the answer;
 //  3. the response carries the complete schedule, making the router's
 //     winner election a pure function of the round's responses.
 package serve
@@ -69,20 +69,16 @@ func (s *Server) handleExchange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sr := &req.Search
-	if sr.Kind != "" && sr.Kind != "anneal" {
+	if err := sr.Validate(); err != nil {
+		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "%v", err)
+		return
+	}
+	if sr.Kind == "exhaustive" {
 		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "exchange runs anneal slices, not %q", sr.Kind)
 		return
 	}
-	if _, ok := objectives[sr.Objective]; !ok {
-		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "unknown objective %q (want time|energy|edp|footprint)", sr.Objective)
-		return
-	}
-	if sr.Iters <= 0 || sr.Iters > maxSearchIters {
+	if sr.Iters == 0 {
 		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "iters %d outside 1..%d", sr.Iters, maxSearchIters)
-		return
-	}
-	if sr.Chains < 0 || sr.Chains > maxSearchChains {
-		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "chains %d outside 0..%d", sr.Chains, maxSearchChains)
 		return
 	}
 	if req.Shard < 0 || req.Shard >= maxExchangeShards {
@@ -180,10 +176,6 @@ func (s *Server) handleExchange(w http.ResponseWriter, r *http.Request) {
 	if done == 0 {
 		done = sr.Iters
 	}
-	// Persist the slice winner for restart warmth (write-only: the
-	// response never reads the store, so shard history cannot leak in).
-	rt.Stage("store")
-	s.storePut(gfp, tgt, sched, cost)
 	wire := make([]AssignmentSpec, len(sched))
 	for i, a := range sched {
 		wire[i] = AssignmentSpec{X: a.Place.X, Y: a.Place.Y, T: a.Time}

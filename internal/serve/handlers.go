@@ -310,20 +310,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		respondErr(rt, "error", w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if _, ok := objectives[req.Objective]; !ok {
-		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "unknown objective %q (want time|energy|edp|footprint)", req.Objective)
-		return
-	}
-	if req.Kind != "" && req.Kind != "anneal" && req.Kind != "exhaustive" {
-		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "unknown search kind %q (want anneal|exhaustive)", req.Kind)
-		return
-	}
-	if req.Iters < 0 || req.Iters > maxSearchIters {
-		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "iters %d outside 0..%d", req.Iters, maxSearchIters)
-		return
-	}
-	if req.Chains < 0 || req.Chains > maxSearchChains {
-		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "chains %d outside 0..%d", req.Chains, maxSearchChains)
+	if err := req.Validate(); err != nil {
+		respondErr(rt, "error", w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
 	g, dom, gfp, status, err := s.resolveGraph(req.Recurrence, req.GraphFP)

@@ -248,6 +248,27 @@ type SearchRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
+// Validate checks the search parameters that need neither the graph nor
+// the target: objective, kind, and the annealer's iteration and chain
+// bounds. It is the one place a search request's fields are refused, so
+// mapd, its exchange slices and the cluster router all give the same
+// verdict in the same words.
+func (req *SearchRequest) Validate() error {
+	if _, ok := objectives[req.Objective]; !ok {
+		return fmt.Errorf("unknown objective %q (want time|energy|edp|footprint)", req.Objective)
+	}
+	if req.Kind != "" && req.Kind != "anneal" && req.Kind != "exhaustive" {
+		return fmt.Errorf("unknown search kind %q (want anneal|exhaustive)", req.Kind)
+	}
+	if req.Iters < 0 || req.Iters > maxSearchIters {
+		return fmt.Errorf("iters %d outside 0..%d", req.Iters, maxSearchIters)
+	}
+	if req.Chains < 0 || req.Chains > maxSearchChains {
+		return fmt.Errorf("chains %d outside 0..%d", req.Chains, maxSearchChains)
+	}
+	return nil
+}
+
 // SearchResponse reports the best mapping a search found.
 type SearchResponse struct {
 	GraphFP string `json:"graph_fp"`
@@ -264,11 +285,6 @@ type SearchResponse struct {
 	// still-running search because the server had no capacity to run
 	// this one.
 	Degraded bool `json:"degraded"`
-	// FromStore marks a best taken from the persistent mapping atlas
-	// because a previously stored mapping strictly beat what this
-	// search found — typically a completed search from before a
-	// restart outranking a fresh deadline-bounded one.
-	FromStore bool `json:"from_store,omitempty"`
 }
 
 // SearchBest is the cost summary of a search winner.

@@ -70,6 +70,8 @@ func TestSearchValidation(t *testing.T) {
 	}{
 		{"bad kind", `{"recurrence": {"dims": [4, 4], "deps": []}, "target": {"width": 2}, "kind": "lucky"}`, 422},
 		{"bad objective", `{"recurrence": {"dims": [4, 4], "deps": []}, "target": {"width": 2}, "objective": "vibes"}`, 422},
+		{"negative iters", `{"recurrence": {"dims": [4, 4], "deps": []}, "target": {"width": 2}, "iters": -1}`, 422},
+		{"negative chains", `{"recurrence": {"dims": [4, 4], "deps": []}, "target": {"width": 2}, "chains": -1}`, 422},
 		{"iters over cap", fmt.Sprintf(`{"recurrence": {"dims": [4, 4], "deps": []}, "target": {"width": 2}, "iters": %d}`, maxSearchIters+1), 422},
 		{"chains over cap", fmt.Sprintf(`{"recurrence": {"dims": [4, 4], "deps": []}, "target": {"width": 2}, "chains": %d}`, maxSearchChains+1), 422},
 		{"exhaustive on 1-D", `{"recurrence": {"dims": [8], "deps": [[1]]}, "target": {"width": 2}, "kind": "exhaustive"}`, 422},

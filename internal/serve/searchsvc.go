@@ -8,7 +8,10 @@
 // partial, records it for future degraded answers, and — when a
 // checkpoint directory is configured — leaves a checkpoint an identical
 // later request resumes from, so clients can ratchet a long search
-// forward one deadline at a time.
+// forward one deadline at a time. Searches neither read nor write the
+// mapping atlas: everything a search remembers is keyed by its full
+// request, so its answer does not depend on what the server priced
+// before it.
 package serve
 
 import (
@@ -162,18 +165,13 @@ func (s *Server) runAnneal(ctx context.Context, g *fm.Graph, gfp uint64, tgt fm.
 	}
 
 	rt.Stage("anneal")
-	sched, cost, err := search.AnnealResumable(g, tgt, opts)
+	_, cost, err := search.AnnealResumable(g, tgt, opts)
 	if err != nil && !errIsCtx(err) {
 		return SearchResponse{}, err
 	}
 	if done == 0 && err == nil {
 		done = iters
 	}
-	// Persist the winner (its cost is the deterministic evaluator's
-	// price, partial or not), then answer with the better of the fresh
-	// result and the atlas's best-known mapping for this objective.
-	rt.Stage("store")
-	s.storePut(gfp, tgt, sched, cost)
 	resp := SearchResponse{
 		GraphFP: formatGraphFP(gfp),
 		Best: SearchBest{
@@ -185,31 +183,8 @@ func (s *Server) runAnneal(ctx context.Context, g *fm.Graph, gfp uint64, tgt fm.
 		TotalIters: iters,
 		Partial:    err != nil,
 	}
-	s.improveFromStore(gfp, tgt, obj, &resp)
 	s.searches.store(key, resp)
 	return resp, nil
-}
-
-// improveFromStore upgrades a search response to the atlas's best-known
-// mapping when that strictly beats the fresh result — the restart-warmth
-// path: a search the previous process ran to completion keeps paying
-// after a crash. The fresh result was persisted first, so the stored
-// best is never worse than what the search just found.
-func (s *Server) improveFromStore(gfp uint64, tgt fm.Target, obj search.Objective, resp *SearchResponse) {
-	if s.store == nil {
-		return
-	}
-	best, ok := s.store.Best(gfp, tgt, obj)
-	if !ok || obj.Value(best.Cost) >= resp.Best.Objective {
-		return
-	}
-	resp.Best = SearchBest{
-		Objective:  obj.Value(best.Cost),
-		Cost:       best.Cost,
-		PlacesUsed: best.Cost.PlacesUsed,
-	}
-	resp.FromStore = true
-	s.mStoreBest.Inc()
 }
 
 // runExhaustive executes one affine sweep under the caller's context
@@ -247,8 +222,6 @@ func (s *Server) runExhaustive(ctx context.Context, g *fm.Graph, dom *fm.Domain,
 	if !ok {
 		return SearchResponse{}, fmt.Errorf("affine sweep produced no legal candidate")
 	}
-	rt.Stage("store")
-	s.storePut(gfp, tgt, best.Sched, best.Cost)
 	resp := SearchResponse{
 		GraphFP: formatGraphFP(gfp),
 		Best: SearchBest{
@@ -262,7 +235,6 @@ func (s *Server) runExhaustive(ctx context.Context, g *fm.Graph, dom *fm.Domain,
 		// Partial tells the client the sweep did not run to completion.
 		Partial: ctx.Err() != nil,
 	}
-	s.improveFromStore(gfp, tgt, obj, &resp)
 	s.searches.store(key, resp)
 	return resp, nil
 }

@@ -130,9 +130,9 @@ type Config struct {
 	AdmissionControl bool
 	// Store, when non-nil, is the persistent mapping atlas
 	// (internal/store): evaluations missing from the in-process cache
-	// are answered from it (warm restarts), every freshly priced
-	// mapping is appended to it, and searches answer with the stored
-	// best when it beats the fresh result. Nil disables persistence.
+	// are answered from it (warm restarts), and every mapping an eval
+	// prices is appended to it. Searches neither read nor write it.
+	// Nil disables persistence.
 	Store *store.Store
 	// Clock supplies time. Default clock.System.
 	Clock clock.Clock
@@ -221,7 +221,7 @@ type Server struct {
 	mSearchRequests, mSearchOK, mSearchDegraded, mSearchRejected        *obs.Counter
 	mSearchPartial, mSlackRequests, mBatches, mCoalesced                *obs.Counter
 	mExchangeRequests, mExchangeOK, mExchangeRejected                   *obs.Counter
-	mStoreHits, mStoreMisses, mStorePuts, mStorePutErrs, mStoreBest     *obs.Counter
+	mStoreHits, mStoreMisses, mStorePuts, mStorePutErrs                 *obs.Counter
 	mQueueDepth, gStoreUnhealthy                                        *obs.Gauge
 	mBatchJobs                                                          *obs.Histogram
 	mQueueWait, mEvalLatency, mSearchLatency                            *obs.Timer
@@ -286,7 +286,6 @@ func (s *Server) instrument() {
 	s.mStoreMisses = r.Counter("serve.store.misses")
 	s.mStorePuts = r.Counter("serve.store.puts")
 	s.mStorePutErrs = r.Counter("serve.store.put_errors")
-	s.mStoreBest = r.Counter("serve.store.best_served")
 	s.mQueueDepth = r.Gauge("serve.queue.depth")
 	s.gStoreUnhealthy = r.Gauge("serve.store.unhealthy")
 	s.mBatchJobs = r.Histogram("serve.eval.batch_jobs", []float64{1, 2, 4, 8, 16, 32, 64})

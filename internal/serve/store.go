@@ -2,12 +2,12 @@
 // (internal/store). The store sits UNDER the in-process EvalCache —
 // probes happen lazily on cache misses, so a warm answer served from
 // disk is visible as a counted store hit, never silently folded into
-// cache statistics. Writes flow the other way: every mapping the
-// server prices lands in the atlas (deduplicated there), and a search
-// response is the better of the fresh result and the stored best, with
-// from_store telling the client which. Append failures degrade
-// honestly: the request is still answered from the computed result,
-// the error is counted, and the unhealthy gauge trips for ErrBroken.
+// cache statistics. Writes flow the other way: every mapping an eval
+// batch prices lands in the atlas (deduplicated there). Only the eval
+// path touches the atlas; searches neither read nor write it. Append
+// failures degrade honestly: the request is still answered from the
+// computed result, the error is counted, and the unhealthy gauge trips
+// for ErrBroken.
 package serve
 
 import (
@@ -50,33 +50,28 @@ func (s *Server) warmFromStore(gfp uint64, tgt fm.Target, scheds []fm.Schedule) 
 	}
 }
 
-// storePut appends one priced mapping to the atlas, counting the
-// outcome. Append failures never fail the request that priced the
-// mapping — the answer is correct either way — but they are counted,
-// and a broken append path trips the unhealthy gauge.
-func (s *Server) storePut(gfp uint64, tgt fm.Target, sched fm.Schedule, cost fm.Cost) {
-	if s.store == nil || len(sched) == 0 {
-		return
-	}
-	added, err := s.store.Put(gfp, tgt, sched, cost)
-	if err != nil {
-		s.mStorePutErrs.Inc()
-		if errors.Is(err, store.ErrBroken) {
-			s.gStoreUnhealthy.Set(1)
-		}
-		return
-	}
-	if added {
-		s.mStorePuts.Inc()
-	}
-}
-
-// storePutAll appends one batch's pricings.
+// storePutAll appends one batch's pricings, counting the outcomes.
+// Append failures never fail the request that priced the mappings — the
+// answer is correct either way — but they are counted, and a broken
+// append path trips the unhealthy gauge.
 func (s *Server) storePutAll(gfp uint64, tgt fm.Target, scheds []fm.Schedule, costs []fm.Cost) {
 	if s.store == nil {
 		return
 	}
-	for i := range scheds {
-		s.storePut(gfp, tgt, scheds[i], costs[i])
+	for i, sched := range scheds {
+		if len(sched) == 0 {
+			continue
+		}
+		added, err := s.store.Put(gfp, tgt, sched, costs[i])
+		if err != nil {
+			s.mStorePutErrs.Inc()
+			if errors.Is(err, store.ErrBroken) {
+				s.gStoreUnhealthy.Set(1)
+			}
+			continue
+		}
+		if added {
+			s.mStorePuts.Inc()
+		}
 	}
 }

@@ -201,7 +201,7 @@ func TestSearchTraceFreshAndResumed(t *testing.T) {
 	if rec.Outcome != "ok" {
 		t.Fatalf("outcome %q", rec.Outcome)
 	}
-	for _, name := range []string{"decode", "admission", "checkpoint", "anneal", "store", "respond"} {
+	for _, name := range []string{"decode", "admission", "checkpoint", "anneal", "respond"} {
 		stageDuration(t, rec, name)
 	}
 	if rec.Annotations["resume"] != "false" {

@@ -1,11 +1,10 @@
 // Package store is the mapping atlas: a crash-safe, disk-backed record
-// of every mapping the system has priced and the best-known mapping per
-// (graph, target, objective). The panel paper's tension — architecture-
-// friendly algorithms versus algorithm-friendly architectures — is
-// exactly what this atlas accumulates: for each target machine, which
-// mapping of each function that machine prefers. Everything else the
-// repo learns dies with the process; the atlas is the part that must
-// not, so its design is durability-first:
+// of every mapping the system has priced. The panel paper's tension —
+// architecture-friendly algorithms versus algorithm-friendly
+// architectures — is priced one mapping at a time: for each target
+// machine, what each mapping of each function costs there. Everything
+// else the repo learns dies with the process; the atlas is the part
+// that must not, so its design is durability-first:
 //
 //   - An append-only log of CRC32-C-framed, length-prefixed records in
 //     rotated segment files, fsync'd on every append. A record is either
@@ -26,11 +25,12 @@
 //     above against deterministically injected short writes, fsync
 //     errors, flipped bytes, and mid-write process death.
 //
-// The in-memory index rebuilt by recovery answers two questions: the
-// exact cost of an already-priced (graph, schedule, target) — the
-// warm-restart path under the serving layer's EvalCache — and the
-// best-known mapping for a (graph, target, objective) — the atlas
-// proper, which seeds searches instead of starting from scratch.
+// The in-memory index rebuilt by recovery answers one question: the
+// exact cost of an already-priced (graph, schedule, target). It is a
+// price memo under the serving layer's EvalCache — the warm-restart
+// path for evals — and nothing else: a price is a pure function of
+// (graph, schedule, target), so serving it from disk cannot change an
+// answer, only how fast it comes.
 package store
 
 import (
@@ -45,7 +45,6 @@ import (
 	"sync"
 
 	"repro/internal/fm"
-	"repro/internal/fm/search"
 	"repro/internal/obs"
 )
 
@@ -78,7 +77,8 @@ type Entry struct {
 	Target fm.Target `json:"target"`
 	// SchedFP is Sched.Fingerprint().
 	SchedFP uint64 `json:"sched_fp"`
-	// Sched is the mapping itself.
+	// Sched is the mapping itself. Only validate reads it back, to
+	// re-derive SchedFP on recovery.
 	Sched fm.Schedule `json:"sched"`
 	// Cost is the deterministic evaluator's price for the mapping.
 	Cost fm.Cost `json:"cost"`
@@ -178,16 +178,6 @@ type evalIdxKey struct {
 	graph, sched, target uint64
 }
 
-type bestKey struct {
-	graph, target uint64
-	obj           search.Objective
-}
-
-type bestSlot struct {
-	e   *Entry
-	val float64
-}
-
 // dumpRow is one line of DumpLog: the identity and cost of one applied
 // record, in append order. Schedules are elided (their fingerprint
 // identifies them); the dump exists so two recoveries can be diffed
@@ -197,12 +187,6 @@ type dumpRow struct {
 	TargetFP string  `json:"target_fp"`
 	SchedFP  string  `json:"sched_fp"`
 	Cost     fm.Cost `json:"cost"`
-}
-
-// objectives are the figures of merit the atlas tracks a best mapping
-// for.
-var objectives = []search.Objective{
-	search.MinTime, search.MinEnergy, search.MinEDP, search.MinFootprint,
 }
 
 // Store is the crash-safe mapping atlas. All methods are safe for
@@ -221,7 +205,6 @@ type Store struct {
 	broken     error    // guarded by mu — non-nil once the append path is unrepairable
 
 	evals map[evalIdxKey]fm.Cost // guarded by mu
-	bests map[bestKey]bestSlot   // guarded by mu
 	rows  []dumpRow              // guarded by mu
 
 	report RecoveryReport // guarded by mu
@@ -246,7 +229,6 @@ func Open(fsys FS, dir string, opts Options) (*Store, error) {
 		dir:   dir,
 		opts:  opts,
 		evals: make(map[evalIdxKey]fm.Cost),
-		bests: make(map[bestKey]bestSlot),
 	}
 	s.instrument(opts.Obs)
 	if err := s.recover(); err != nil {
@@ -544,13 +526,6 @@ func (s *Store) newSegmentLocked() error {
 // single-threaded during Open).
 func (s *Store) applyEntryLocked(e *Entry) {
 	s.evals[evalIdxKey{e.Graph, e.SchedFP, e.TargetFP}] = e.Cost
-	for _, obj := range objectives {
-		bk := bestKey{e.Graph, e.TargetFP, obj}
-		v := obj.Value(e.Cost)
-		if cur, ok := s.bests[bk]; !ok || v < cur.val {
-			s.bests[bk] = bestSlot{e: e, val: v}
-		}
-	}
 	s.rows = append(s.rows, dumpRow{
 		Graph:    fmt.Sprintf("%016x", e.Graph),
 		TargetFP: fmt.Sprintf("%016x", e.TargetFP),
@@ -672,19 +647,6 @@ func (s *Store) Lookup(gfp, sfp uint64, tgt fm.Target) (fm.Cost, bool) {
 	defer s.mu.Unlock()
 	cost, ok := s.evals[evalIdxKey{gfp, sfp, targetFP(tgt)}]
 	return cost, ok
-}
-
-// Best returns the best-known mapping of the graph on the target for
-// the objective. The returned entry's schedule is shared; callers must
-// treat it as read-only.
-func (s *Store) Best(gfp uint64, tgt fm.Target, obj search.Objective) (Entry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	slot, ok := s.bests[bestKey{gfp, targetFP(tgt), obj}]
-	if !ok {
-		return Entry{}, false
-	}
-	return *slot.e, true
 }
 
 // Len returns the number of distinct mappings indexed.

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/fm"
-	"repro/internal/fm/search"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/tech"
@@ -133,7 +132,7 @@ func checkAll(t *testing.T, s *Store, ents []priced) {
 	}
 }
 
-func TestPutLookupBest(t *testing.T) {
+func TestPutLookup(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(OS{}, dir, Options{})
 	if err != nil {
@@ -164,32 +163,6 @@ func TestPutLookupBest(t *testing.T) {
 	other.Grid.PitchMM += 1
 	if _, ok := s.Lookup(ents[0].gfp, ents[0].sched.Fingerprint(), other); ok {
 		t.Fatal("lookup with different target hit")
-	}
-
-	// Best returns the minimum over every mapping of the same
-	// (graph, target) per objective.
-	for _, obj := range objectives {
-		byKey := map[[2]uint64]float64{}
-		for _, e := range ents {
-			k := [2]uint64{e.gfp, targetFP(e.tgt)}
-			v := obj.Value(e.cost)
-			if cur, ok := byKey[k]; !ok || v < cur {
-				byKey[k] = v
-			}
-		}
-		for _, e := range ents {
-			best, ok := s.Best(e.gfp, e.tgt, obj)
-			if !ok {
-				t.Fatalf("best(%v) missed", obj)
-			}
-			want := byKey[[2]uint64{e.gfp, targetFP(e.tgt)}]
-			if got := obj.Value(best.Cost); got != want {
-				t.Fatalf("best(%v) value %g, want %g", obj, got, want)
-			}
-		}
-	}
-	if _, ok := s.Best(0xbeef, ents[0].tgt, search.MinTime); ok {
-		t.Fatal("best for unknown graph hit")
 	}
 }
 
