@@ -29,6 +29,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/obs/tracing"
 	"repro/internal/serve"
@@ -75,7 +76,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		rt.relay(rctx, tr, w, r, "/v1/search", in, false)
 		return
 	}
-	rt.scatterGather(rctx, tr, w, req, in.cands, in.primary)
+	rt.scatterGather(rctx, tr, w, req, in.cands, in.primary, r.Header.Get("X-Deadline-Ms"))
 }
 
 // scatterable decodes a routable body as an anneal that passes mapd's own
@@ -102,7 +103,12 @@ type sliceOutcome struct {
 	ok   bool
 }
 
-func (rt *Router) scatterGather(ctx context.Context, tr *tracing.Request, w http.ResponseWriter, req *serve.SearchRequest, cands []int, primary int) {
+// scatterGather runs the exchange rounds. The client's X-Deadline-Ms
+// bounds the whole scatter: each round's slices carry the time left of
+// it, rounded up to a whole millisecond. A header that is not a positive
+// integer is relayed verbatim, so every slice refuses it as a single
+// mapd would.
+func (rt *Router) scatterGather(ctx context.Context, tr *tracing.Request, w http.ResponseWriter, req *serve.SearchRequest, cands []int, primary int, deadline string) {
 	// Participants: the healthy replica set in rank order; if the prober
 	// has everything down-marked, try the full set rather than refusing.
 	parts := cands[:0:0]
@@ -125,6 +131,10 @@ func (rt *Router) scatterGather(ctx context.Context, tr *tracing.Request, w http
 		rounds = total
 	}
 	base, rem := total/rounds, total%rounds
+	var end time.Time
+	if ms, err := strconv.ParseInt(deadline, 10, 64); err == nil && ms > 0 {
+		end = rt.clock.Now().Add(time.Duration(ms) * time.Millisecond)
+	}
 
 	tr.Stage("exchange")
 	var best *serve.ExchangeResponse
@@ -136,21 +146,30 @@ func (rt *Router) scatterGather(ctx context.Context, tr *tracing.Request, w http
 		if round < rem {
 			sliceIters++
 		}
-		outs := rt.runRound(ctx, tr, req, parts, round, rounds, sliceIters, best)
+		if !end.IsZero() {
+			left := max(end.Sub(rt.clock.Now()), time.Millisecond)
+			deadline = strconv.FormatInt(int64((left+time.Millisecond-1)/time.Millisecond), 10)
+		}
+		outs := rt.runRound(ctx, tr, req, parts, round, rounds, sliceIters, best, deadline)
 
 		// Process in roster order so health marks, drops, and the winner
 		// election are deterministic functions of the round's answers.
 		alive := parts[:0:0]
 		for i, shard := range parts {
 			out := outs[i]
-			if out.raw.err != nil || out.raw.status >= 500 {
+			if out.raw.failed() {
 				rt.health.markDown(shard, failureReason(out.raw))
 				tr.Annotate("exchange.dropped", strconv.Itoa(shard))
 				continue
 			}
 			if out.raw.status != http.StatusOK {
 				// A 4xx slice verdict is about the REQUEST, identical on
-				// every shard; relay the first one and stop the search.
+				// every shard, and a 504 is the client's own deadline
+				// expiring, which says nothing about the shard: relay the
+				// first one, counted as that shard's route, and stop the
+				// search.
+				rt.mRoutes[shard].Inc()
+				tr.Annotate("served_by", strconv.Itoa(shard))
 				seal(tr, "error")
 				copyShardResponse(w, out.raw, primary)
 				return
@@ -195,7 +214,7 @@ func (rt *Router) scatterGather(ctx context.Context, tr *tracing.Request, w http
 // runRound fans one round's slices out concurrently and collects the
 // outcomes index-aligned with parts. The barrier is the WaitGroup: the
 // round is not judged until every slice has answered or failed.
-func (rt *Router) runRound(ctx context.Context, tr *tracing.Request, req *serve.SearchRequest, parts []int, round, rounds, sliceIters int, best *serve.ExchangeResponse) []sliceOutcome {
+func (rt *Router) runRound(ctx context.Context, tr *tracing.Request, req *serve.SearchRequest, parts []int, round, rounds, sliceIters int, best *serve.ExchangeResponse, deadline string) []sliceOutcome {
 	outs := make([]sliceOutcome, len(parts))
 	var wg sync.WaitGroup
 	for i, shard := range parts {
@@ -214,7 +233,7 @@ func (rt *Router) runRound(ctx context.Context, tr *tracing.Request, req *serve.
 		go func(i, shard int, ebody []byte) {
 			defer wg.Done()
 			ch := make(chan attemptResult, 1)
-			rt.attempt(ctx, shard, "/v1/exchange", ebody, forwardOptions{traceID: tr.TraceID()}, false, ch)
+			rt.attempt(ctx, shard, "/v1/exchange", ebody, forwardOptions{traceID: tr.TraceID(), deadline: deadline}, false, ch)
 			out := sliceOutcome{raw: <-ch}
 			if out.raw.err == nil && out.raw.status == http.StatusOK {
 				out.ok = json.Unmarshal(out.raw.body, &out.resp) == nil

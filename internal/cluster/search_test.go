@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs/tracing"
@@ -107,8 +108,9 @@ func TestScatterGatherSurvivesDeadShard(t *testing.T) {
 // verdict, which is the request's and the same on every replica.
 func TestScatterGatherRelays4xx(t *testing.T) {
 	_, urls := newFleet(t, 2)
-	rt, _ := newTestRouter(t, urls, nil)
+	rt, reg := newTestRouter(t, urls, nil)
 	single := newFleetShard(t)
+	routed := int64(0)
 	for _, bad := range []string{
 		`{"recurrence": {"dims": [5, 5], "deps": [[1, 0]]}, "target": {"width": 4}, "chains": 99}`,
 		`{"recurrence": {"dims": [4, 4], "deps": [[0, -1]]}, "target": {"width": 4}}`,
@@ -119,6 +121,88 @@ func TestScatterGatherRelays4xx(t *testing.T) {
 		if want.Code < 400 || want.Code >= 500 || rec.Code != want.Code || rec.Body.String() != want.Body.String() {
 			t.Fatalf("%s\nrouter: %d %s\nsingle: %d %s", bad, rec.Code, rec.Body.String(), want.Code, want.Body.String())
 		}
+		// Every relayed answer, a scattered slice's included, counts as
+		// one route of the shard that gave it.
+		routed++
+		if got := counter(reg, "cluster.routes.shard0") + counter(reg, "cluster.routes.shard1"); got != routed {
+			t.Fatalf("%s\nroute counters sum to %d, want %d", bad, got, routed)
+		}
+	}
+}
+
+// searchWithDeadline posts body to /v1/search on h with an
+// X-Deadline-Ms header.
+func searchWithDeadline(h http.Handler, body, deadline string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest("POST", "/v1/search", strings.NewReader(body))
+	req.Header.Set("X-Deadline-Ms", deadline)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// A scattered anneal honours the client's X-Deadline-Ms as a single mapd
+// does: a malformed header is refused in mapd's own words, byte for
+// byte, and a valid one reaches every slice of every round, as the time
+// left of it (the whole of it under the router's frozen clock).
+func TestScatterGatherRelaysDeadline(t *testing.T) {
+	shards, urls := newFleet(t, 2)
+	var mu sync.Mutex
+	seen := make([][]string, len(shards))
+	for i, sh := range shards {
+		inner := *sh.handler.Load()
+		var h http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/exchange" {
+				mu.Lock()
+				seen[i] = append(seen[i], r.Header.Get("X-Deadline-Ms"))
+				mu.Unlock()
+			}
+			inner.ServeHTTP(w, r)
+		})
+		sh.handler.Store(&h)
+	}
+	rt, _ := newTestRouter(t, urls, func(c *Config) { c.ExchangeRounds = 2 })
+	single := newFleetShard(t)
+
+	rec := searchWithDeadline(rt.Handler(), clusterSearchBody, "soon")
+	want := searchWithDeadline(*single.handler.Load(), clusterSearchBody, "soon")
+	if want.Code != http.StatusBadRequest || rec.Code != want.Code || rec.Body.String() != want.Body.String() {
+		t.Fatalf("malformed deadline\nrouter: %d %s\nsingle: %d %s", rec.Code, rec.Body.String(), want.Code, want.Body.String())
+	}
+
+	for i := range seen {
+		seen[i] = nil
+	}
+	if rec := searchWithDeadline(rt.Handler(), clusterSearchBody, "60000"); rec.Code != http.StatusOK {
+		t.Fatalf("valid deadline: status %d: %s", rec.Code, rec.Body.String())
+	}
+	for i, got := range seen {
+		if len(got) != 2 || got[0] != "60000" || got[1] != "60000" {
+			t.Fatalf("shard %d's exchange slices carried X-Deadline-Ms %q, want 60000 in each of 2 rounds", i, got)
+		}
+	}
+}
+
+// A slice's 504 is the client's own deadline expiring on that shard (the
+// stubs answer as such a shard does): the router relays it as the
+// request's verdict, counted as one route, and marks no shard down, as
+// it does for a forward.
+func TestScatterGatherRelaysDeadlineExpiry(t *testing.T) {
+	f := newShardFleet(t, 2)
+	for _, st := range f.status {
+		st.Store(http.StatusGatewayTimeout)
+	}
+	rt, reg := newTestRouter(t, f.urls, nil)
+	rec := searchWithDeadline(rt.Handler(), clusterSearchBody, "1")
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want the slice's 504: %s", rec.Code, rec.Body.String())
+	}
+	for s := range f.urls {
+		if !rt.health.healthy(s) {
+			t.Fatalf("shard %d marked down for the client's expired deadline", s)
+		}
+	}
+	if got := counter(reg, "cluster.routes.shard0") + counter(reg, "cluster.routes.shard1"); got != 1 {
+		t.Fatalf("route counters sum to %d, want 1", got)
 	}
 }
 

@@ -29,32 +29,47 @@ import (
 // float operation sequence Evaluate runs. internal/fm/deltacheck replays
 // every move against the full evaluator to pin this contract.
 //
-// What a move invalidates, and why the bound holds:
+// What a move of node n invalidates, and why the bound holds:
 //
 //   - Flow partials: wire energy, bit-hops, messages, and max transit of
 //     a producer depend only on its place and its consumers' places, so
 //     a move of n touches exactly {n} ∪ deps(n).
-//   - Times: start times downstream of n can shift arbitrarily far, so
-//     Propose re-derives the full ASAP timing in one allocation-free
-//     O(nodes + edges) pass (epoch-stamped issue calendar instead of the
-//     map ASAPSchedule uses), fusing the last-use computation (legal
-//     because dependencies always have lower IDs).
+//   - Times: a node's ASAP start depends only on lower IDs (its
+//     dependencies, and the earlier issues at its place), so every node
+//     below n keeps its committed times. One allocation-free pass
+//     re-times n and everything above it, half the graph on average,
+//     with an epoch-stamped issue calendar instead of the map
+//     ASAPSchedule uses. A place's calendar is seeded, when the pass
+//     first meets it, from that place's last non-input member below
+//     the pass. Committed times that Reset took from a schedule that is
+//     not ASAP are re-timed too: the pass starts at the first of them
+//     if that lies below n.
+//   - Makespan: nodes below n contribute committed arrivals (finish
+//     plus largest outgoing transit), read from prefix maxima that Reset
+//     and Commit rebuild; only the transits of n's dependencies moved,
+//     so the scan re-reads from the lowest of them up to n.
 //   - Storage peaks: a place's resident-words profile changes only if
-//     its membership changed (the moved node's old and new places) or
-//     one of its nodes' (born, free) interval changed; Propose re-sweeps
-//     only those dirty places, walking intrusive per-place lists kept in
-//     node-ID order. Same-place ASAP starts strictly increase with ID,
-//     so born (finish) times arrive nearly sorted and an insertion pass
-//     orders them at near-linear cost; free times are unordered and go
-//     through a binary min-heap, merged with the borns in one sweep.
-//   - Makespan, places used, totals: O(nodes + grid) scans over flat
-//     arrays, no allocation.
+//     its membership changed (the moved node's old and new places), one
+//     of its nodes' (born, free) interval changed (its start or last-use
+//     time moved), or it holds an output and the schedule end moved.
+//     Only those dirty places are re-swept, walking intrusive per-place
+//     lists kept in node-ID order. Same-place ASAP starts strictly
+//     increase with ID, so born (finish) times arrive nearly sorted and
+//     an insertion pass orders them at near-linear cost; free times are
+//     unordered and go through a binary min-heap, merged with the borns
+//     in one sweep.
+//   - Last uses, places used, totals: O(nodes + edges + grid) scans over
+//     flat arrays, no allocation.
 //
 // A DeltaEvaluator is a two-phase state machine: Reset prices a full
-// schedule and makes it current; Propose prices one candidate move into
-// scratch state without touching the committed mapping (call it freely
-// for rejected moves); Commit promotes the last proposal to committed.
-// Not safe for concurrent use — each annealing chain owns one.
+// schedule and makes it current; ProposeCycles or Propose prices one
+// candidate move into scratch state without touching the committed
+// mapping (call either freely for rejected moves); Commit promotes the
+// last proposal to committed. ProposeCycles prices the makespan alone,
+// all a time objective's accept test reads, and Commit finishes the
+// rest of the cost: last uses, wire totals, dirty places and their
+// storage peaks, which Propose prices up front. Not safe for concurrent
+// use — each annealing chain owns one.
 type DeltaEvaluator struct {
 	g   *Graph
 	tgt Target
@@ -70,8 +85,9 @@ type DeltaEvaluator struct {
 	ops     int
 	numP    int // grid points
 
-	attached bool // Reset has run
-	proposed bool // a Propose is pending Commit
+	attached  bool // Reset has run
+	proposed  bool // a proposal is pending Commit
+	completed bool // the pending proposal's full cost is priced
 
 	// Committed mapping state.
 	place      []geom.Point
@@ -83,6 +99,8 @@ type DeltaEvaluator struct {
 	bhOut      []int64
 	msgOut     []int64
 	maxT       []int64 // largest transit among charged flows per producer
+	preMk      []int64 // preMk[i]: largest fin+maxT over nodes below i
+	asapBelow  int     // nodes below this ID start at their ASAP times
 	schedEnd   int64   // Schedule.Makespan(): max start + 1
 	placesUsed int
 	cost       Cost
@@ -125,13 +143,17 @@ type DeltaEvaluator struct {
 	pB         geom.Point
 	pGidA      int32
 	pGidB      int32
+	pK         int // first re-timed node; below it nTme lags tme until complete
+	pLo        int // lowest node whose arrival the proposal changed
+	nMakespan  int64
 	nSchedEnd  int64
 	nCost      Cost
 }
 
 // NewDeltaEvaluator builds a delta evaluator for g on tgt. All scratch is
-// allocated here, sized by the graph and grid, so Reset, Propose, Commit,
-// and Snapshot (into a large-enough buffer) never allocate afterwards.
+// allocated here, sized by the graph and grid, so Reset, ProposeCycles,
+// Propose, Commit, and Snapshot (into a large-enough buffer) never
+// allocate afterwards.
 func NewDeltaEvaluator(g *Graph, tgt Target) (*DeltaEvaluator, error) {
 	if g == nil {
 		return nil, fmt.Errorf("fm: delta evaluator needs a graph")
@@ -180,6 +202,7 @@ func NewDeltaEvaluator(g *Graph, tgt Target) (*DeltaEvaluator, error) {
 	d.bhOut = make([]int64, n)
 	d.msgOut = make([]int64, n)
 	d.maxT = make([]int64, n)
+	d.preMk = make([]int64, n+1)
 
 	d.head = make([]int32, numP)
 	d.next = make([]int32, n)
@@ -287,23 +310,15 @@ func (d *DeltaEvaluator) Reset(sched Schedule) (Cost, error) {
 
 	var wire float64
 	var bh, msgs int64
-	var makespan int64
 	for p := 0; p < n; p++ {
-		if f := d.fin[p]; f > makespan {
-			makespan = f
-		}
 		if d.consOff[p+1] == d.consOff[p] {
 			continue
 		}
 		wire += d.wireOut[p]
 		bh += d.bhOut[p]
 		msgs += d.msgOut[p]
-		if d.maxT[p] > 0 {
-			if arrive := d.fin[p] + d.maxT[p]; arrive > makespan {
-				makespan = arrive
-			}
-		}
 	}
+	d.rebuildArrivals(0)
 
 	peak := 0
 	for q := int32(0); int(q) < d.numP; q++ {
@@ -322,9 +337,31 @@ func (d *DeltaEvaluator) Reset(sched Schedule) (Cost, error) {
 		}
 	}
 
-	d.cost = d.assemble(makespan, wire, bh, msgs, peak, d.placesUsed)
+	d.cost = d.assemble(d.preMk[n], wire, bh, msgs, peak, d.placesUsed)
 	d.attached = true
+
+	// A proposal keeps committed times only where they are ASAP, and
+	// sched need not be. A null move priced from node 0 re-times every
+	// node; the first start that differs ends the ASAP prefix.
+	d.asapBelow = 0
+	if n > 0 {
+		d.ProposeCycles(0, d.place[0])
+		for d.asapBelow < n && d.nTme[d.asapBelow] == d.tme[d.asapBelow] {
+			d.asapBelow++
+		}
+		d.proposed = false
+	}
 	return d.cost, nil
+}
+
+// rebuildArrivals recomputes the committed arrival prefix maxima from
+// node lo on: preMk[i+1] is the largest finish-plus-transit arrival of
+// the nodes below i+1. The max transit is never negative, so a node's
+// arrival is also at least its finish, as Evaluate's makespan reads.
+func (d *DeltaEvaluator) rebuildArrivals(lo int) {
+	for i := lo; i < len(d.fin); i++ {
+		d.preMk[i+1] = max(d.preMk[i], d.fin[i]+d.maxT[i])
+	}
 }
 
 // placeAt is the committed-placement lookup handed to producerFlows.
@@ -335,14 +372,30 @@ func (d *DeltaEvaluator) placeAt(n NodeID) geom.Point { return d.place[n] }
 // ASAPSchedule over the perturbed placement). Committed state is not
 // touched — a rejected move needs no cleanup; call Commit to adopt the
 // proposal. The returned Cost is bitwise identical to evaluating that
-// re-timed schedule in full.
+// re-timed schedule in full. Propose is ProposeCycles followed at once
+// by the completion Commit runs, so every proposal prices through one
+// path.
 //
-// This is the anneal inner loop's costliest call; TestAnnealMoveZeroAlloc
-// pins one run at zero allocations and hotalloc pins every reachable
-// call site statically.
+// This and ProposeCycles are the anneal inner loop's costliest calls;
+// TestAnnealMoveZeroAlloc pins one run at zero allocations and hotalloc
+// pins every reachable call site statically.
 //
 //lint:hotpath
 func (d *DeltaEvaluator) Propose(n NodeID, to geom.Point) Cost {
+	d.ProposeCycles(n, to)
+	d.complete()
+	return d.nCost
+}
+
+// ProposeCycles prices only the makespan of the move Propose(n, to)
+// prices: it returns exactly Propose(n, to).Cycles, the one field a time
+// objective's accept test reads. The proposal stays pending as Propose's
+// does. Commit finishes its cost before adopting it, so Cost afterwards
+// is the full committed cost; a rejected proposal never pays for last
+// uses, wire totals or storage peaks.
+//
+//lint:hotpath
+func (d *DeltaEvaluator) ProposeCycles(n NodeID, to geom.Point) int64 {
 	g, numN := d.g, d.g.NumNodes()
 	if !d.attached {
 		//lint:allow panic(argument-contract guard, like stdlib slice bounds: Propose before Reset is a caller bug)
@@ -362,58 +415,66 @@ func (d *DeltaEvaluator) Propose(n NodeID, to geom.Point) Cost {
 	d.pN, d.pB = n, to
 	d.pGidA = d.placeID[n]
 	d.pGidB = int32(d.tgt.Grid.ID(to))
-	moved := d.pGidA != d.pGidB
+	d.proposed, d.completed = true, false
 
 	// 1. Producers whose flow partials a move invalidates: n itself and
 	// its dependencies (their consumer n changed place). Placement-only,
-	// so an unmoved placement invalidates nothing.
+	// so an unmoved placement invalidates nothing. The makespan reads only
+	// their max transits, so their wire partials wait for complete; the
+	// lowest of them is the lowest arrival the move can change.
+	k := min(int(n), d.asapBelow)
+	lo := k
 	d.affList = d.affList[:0]
-	if moved {
+	if d.pGidA != d.pGidB {
 		d.markAffected(n)
 		for _, p := range g.Deps(n) {
 			d.markAffected(p)
+			lo = min(lo, int(p))
 		}
-		for k, p := range d.affList {
-			clist := d.cons[d.consOff[p]:d.consOff[p+1]]
-			d.affWire[k], d.affBH[k], d.affMsg[k], d.affMaxT[k] =
-				//lint:allow alloc(the closure never escapes producerFlows, so escape analysis keeps it on the stack; TestAnnealMoveZeroAlloc pins this at runtime)
-				producerFlows(g, d.tgt, p, clist, func(x NodeID) geom.Point {
-					if x == n {
-						return to
-					}
-					return d.place[x]
-				}, d.dstScratch[:0])
+		for j, p := range d.affList {
+			src := d.candPlace(p)
+			var mt int64
+			for _, c := range d.cons[d.consOff[p]:d.consOff[p+1]] {
+				// TransitCycles, as producerFlows charges it.
+				mt = max(mt, int64(src.Manhattan(d.candPlace(c)))*d.hopCyc)
+			}
+			d.affMaxT[j] = mt
 		}
 	}
+	d.pK, d.pLo = k, lo
 
-	// 2. One ASAP pass over the candidate placement: start times, finish
-	// times, last uses, and both makespans, fused. Dependencies always
-	// have lower IDs, so nFin and nLastUse of every dep are final when
-	// read. The issue calendar is the epoch-stamped equivalent of
-	// ASAPSchedule's nextIssue map.
-	var makespan, maxStart1 int64
-	for i := 0; i < numN; i++ {
+	// 2. The makespan: committed arrivals below lo, committed finish
+	// times plus the moved transits on [lo, k), then one ASAP pass from k
+	// over the candidate placement. Below k the committed times are the
+	// candidate's (no lower node moved, and they are ASAP), so only the
+	// finish times the pass reads are copied. Dependencies always have
+	// lower IDs, so nFin of every dep is final when read. The issue
+	// calendar is the epoch-stamped equivalent of ASAPSchedule's
+	// nextIssue map.
+	makespan := d.preMk[lo]
+	for i := lo; i < k; i++ {
+		makespan = max(makespan, d.arrival(i, d.fin[i]))
+	}
+	copy(d.nFin[:k], d.fin[:k])
+	for i := k; i < numN; i++ {
 		id := NodeID(i)
 		pl := d.place[i]
 		gid := d.placeID[i]
 		if id == n {
 			pl, gid = to, d.pGidB
 		}
-		d.nLastUse[i] = -1
-		var start int64
 		if g.IsInput(id) {
 			d.nTme[i], d.nFin[i] = 0, 0
 		} else {
+			var start int64
 			if d.issueStamp[gid] == d.epoch {
 				start = d.issueVal[gid]
+			} else {
+				start = d.issueSeed(gid, i)
 			}
 			for _, p := range g.Deps(id) {
-				pp := d.place[p]
-				if p == n {
-					pp = to
-				}
 				ready := d.nFin[p]
-				if hops := pp.Manhattan(pl); hops > 0 {
+				if hops := d.candPlace(p).Manhattan(pl); hops > 0 {
 					ready += int64(hops) * d.hopCyc
 				}
 				if ready > start {
@@ -424,34 +485,98 @@ func (d *DeltaEvaluator) Propose(n NodeID, to geom.Point) Cost {
 			d.nFin[i] = start + d.opCyc[i]
 			d.issueStamp[gid] = d.epoch
 			d.issueVal[gid] = start + 1
+		}
+		makespan = max(makespan, d.arrival(i, d.nFin[i]))
+	}
+	d.nMakespan = makespan
+	return makespan
+}
+
+// candPlace is node x's place under the pending proposal.
+func (d *DeltaEvaluator) candPlace(x NodeID) geom.Point {
+	if x == d.pN {
+		return d.pB
+	}
+	return d.place[x]
+}
+
+// arrival is node i's makespan term under the pending proposal: its
+// finish time f plus its largest outgoing transit, which is never
+// negative.
+func (d *DeltaEvaluator) arrival(i int, f int64) int64 {
+	if d.affStamp[i] == d.epoch {
+		return f + d.affMaxT[d.affIdx[i]]
+	}
+	return f + d.maxT[i]
+}
+
+// issueSeed is place gid's issue calendar when the re-timing pass first
+// meets it, at node i: one past the start of the place's last non-input
+// member below i under the candidate placement, or 0 if it has none.
+// Inputs take no issue slot. That member lies below the pass's first
+// node (a non-input member the pass had reached would have stamped the
+// calendar already), so its committed start is its candidate start.
+func (d *DeltaEvaluator) issueSeed(gid int32, i int) int64 {
+	moved := d.pGidA != d.pGidB
+	j := d.prev[i]
+	if moved && i == int(d.pN) {
+		// n is not linked at its new place: find the member below it.
+		j = -1
+		for c := d.head[gid]; c >= 0 && int(c) < i; c = d.next[c] {
+			j = c
+		}
+	}
+	for j >= 0 && (d.g.IsInput(NodeID(j)) || (moved && NodeID(j) == d.pN)) {
+		j = d.prev[j]
+	}
+	if j < 0 {
+		return 0
+	}
+	return d.tme[j] + 1
+}
+
+// complete prices the rest of the pending proposal's cost once its
+// makespan is known: last uses and the schedule end, wire totals, dirty
+// places and their storage peaks, places used. Propose runs it at once;
+// after ProposeCycles, Commit runs it for the accepted moves only.
+func (d *DeltaEvaluator) complete() {
+	if d.completed {
+		return
+	}
+	g, numN, n := d.g, d.g.NumNodes(), d.pN
+	moved := d.pGidA != d.pGidB
+	// Commit swaps the time arrays, so below the re-timed nodes nTme may
+	// still hold an older schedule: copy in the committed prefix.
+	copy(d.nTme[:d.pK], d.tme[:d.pK])
+
+	// 3. Last uses and the schedule end, over the whole candidate: a
+	// re-timed consumer moves the last use of a node below n too.
+	// Consumers have higher IDs, so each node's -1 lands first.
+	var end int64
+	for i := 0; i < numN; i++ {
+		id := NodeID(i)
+		t := d.nTme[i]
+		d.nLastUse[i] = -1
+		if !g.IsInput(id) {
 			for _, p := range g.Deps(id) {
-				if start > d.nLastUse[p] {
-					d.nLastUse[p] = start
+				if t > d.nLastUse[p] {
+					d.nLastUse[p] = t
 				}
 			}
 		}
-		if start+1 > maxStart1 {
-			maxStart1 = start + 1
-		}
-		f := d.nFin[i]
-		if f > makespan {
-			makespan = f
-		}
-		mt := d.maxT[i]
-		if d.affStamp[i] == d.epoch {
-			mt = d.affMaxT[d.affIdx[i]]
-		}
-		if mt > 0 {
-			if arrive := f + mt; arrive > makespan {
-				makespan = arrive
-			}
-		}
+		end = max(end, t+1)
 	}
-	d.nSchedEnd = maxStart1
+	d.nSchedEnd = end
 
-	// 3. Totals: integer fields are order-exact; the float wire total
+	// 4. Totals: integer fields are order-exact; the float wire total
 	// re-adds every producer partial in ID order — the canonical sequence
-	// of flows.go — substituting the recomputed partials of step 1.
+	// of flows.go — substituting the partials of step 1's producers.
+	for j, p := range d.affList {
+		clist := d.cons[d.consOff[p]:d.consOff[p+1]]
+		d.affWire[j], d.affBH[j], d.affMsg[j], _ =
+			//lint:allow alloc(the closure never escapes producerFlows, so escape analysis keeps it on the stack; TestAnnealMoveZeroAlloc pins this at runtime)
+			producerFlows(g, d.tgt, p, clist, d.candPlace, d.dstScratch[:0])
+	}
 	var wire float64
 	var bh, msgs int64
 	for p := 0; p < numN; p++ {
@@ -470,7 +595,7 @@ func (d *DeltaEvaluator) Propose(n NodeID, to geom.Point) Cost {
 		}
 	}
 
-	// 4. Dirty places: membership changed (old and new place of n), a
+	// 5. Dirty places: membership changed (old and new place of n), a
 	// member's (born, free) interval changed (its start or last-use time
 	// moved), or — when the schedule end moved — any place holding an
 	// output, whose free time is pinned to the end.
@@ -519,18 +644,22 @@ func (d *DeltaEvaluator) Propose(n NodeID, to geom.Point) Cost {
 		}
 	}
 
-	d.nCost = d.assemble(makespan, wire, bh, msgs, peak, pu)
-	d.proposed = true
-	return d.nCost
+	d.nCost = d.assemble(d.nMakespan, wire, bh, msgs, peak, pu)
+	d.completed = true
 }
 
-// Commit promotes the last proposal to the committed mapping: O(dirty)
-// writebacks plus pointer swaps of the time arrays.
+// Commit promotes the last proposal to the committed mapping, first
+// finishing its cost if ProposeCycles priced only the makespan: O(dirty)
+// writebacks, pointer swaps of the time arrays, and the arrival prefix
+// maxima rebuilt from the lowest node whose arrival moved.
+//
+//lint:hotpath
 func (d *DeltaEvaluator) Commit() {
 	if !d.proposed {
 		//lint:allow panic(argument-contract guard, like stdlib slice bounds: Commit without a pending Propose is a caller bug)
 		panic("fm: DeltaEvaluator.Commit without a pending Propose")
 	}
+	d.complete()
 	for k, p := range d.affList {
 		d.wireOut[p] = d.affWire[k]
 		d.bhOut[p] = d.affBH[k]
@@ -551,6 +680,8 @@ func (d *DeltaEvaluator) Commit() {
 	for k, q := range d.dirtyList {
 		d.placePeak[q] = d.nPeak[k]
 	}
+	d.rebuildArrivals(d.pLo)
+	d.asapBelow = len(d.tme)
 	d.schedEnd = d.nSchedEnd
 	d.placesUsed = d.nCost.PlacesUsed
 	d.cost = d.nCost

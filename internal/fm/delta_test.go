@@ -111,18 +111,32 @@ func TestDeltaProposeMatchesFullReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		place := randomPlacement(rng, g, tgt)
-		if _, err := d.Reset(ASAPSchedule(g, place, tgt)); err != nil {
+		// Reset need not start from ASAP times: proposals re-time from
+		// the first late start until a commit.
+		sched := ASAPSchedule(g, place, tgt)
+		sched[rng.Intn(len(sched))].Time += 3
+		if _, err := d.Reset(sched); err != nil {
 			t.Fatal(err)
 		}
 		for mv := 0; mv < 300; mv++ {
 			n := NodeID(rng.Intn(g.NumNodes()))
 			to := tgt.Grid.At(rng.Intn(tgt.Grid.Nodes()))
-			got := d.Propose(n, to)
+			cyclesOnly := mv%2 == 0
+			var got Cost
+			if cyclesOnly {
+				got.Cycles = d.ProposeCycles(n, to)
+			} else {
+				got = d.Propose(n, to)
+			}
 
 			old := place[n]
 			place[n] = to
 			want := fullCost(t, g, place, tgt)
-			if !costsBitEqual(got, want) {
+			if cyclesOnly && got.Cycles != want.Cycles {
+				t.Fatalf("graph %d move %d (node %d %v->%v): ProposeCycles = %d, want %d",
+					gi, mv, n, old, to, got.Cycles, want.Cycles)
+			}
+			if !cyclesOnly && !costsBitEqual(got, want) {
 				t.Fatalf("graph %d move %d (node %d %v->%v): Propose diverges:\n got %+v\nwant %+v",
 					gi, mv, n, old, to, got, want)
 			}
@@ -212,7 +226,11 @@ func TestDeltaProposeCommitDoNotAllocate(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		n := NodeID(i % g.NumNodes())
 		to := tgt.Grid.At(i % tgt.Grid.Nodes())
-		d.Propose(n, to)
+		if i%2 == 0 {
+			d.ProposeCycles(n, to)
+		} else {
+			d.Propose(n, to)
+		}
 		if i%3 == 0 {
 			d.Commit()
 			d.Snapshot(buf)
@@ -220,7 +238,7 @@ func TestDeltaProposeCommitDoNotAllocate(t *testing.T) {
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("Propose/Commit/Snapshot allocate %v allocs/op, want 0", allocs)
+		t.Fatalf("Propose/ProposeCycles/Commit/Snapshot allocate %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -251,5 +269,85 @@ func TestDeltaValidation(t *testing.T) {
 	}
 	assertPanics(t, "Propose node out of range", func() { d.Propose(NodeID(g.NumNodes()), geom.Pt(0, 0)) })
 	assertPanics(t, "Propose off-grid", func() { d.Propose(0, geom.Pt(9, 9)) })
+	assertPanics(t, "ProposeCycles off-grid", func() { d.ProposeCycles(0, geom.Pt(9, 9)) })
 	assertPanics(t, "Commit without Propose", func() { d.Commit() })
+}
+
+// TestDeltaRetimeEdgeCases pins the boundaries of the re-timing pass: it
+// starts at the moved node, seeds each place's issue calendar from the
+// place's last non-input member below the pass, and keeps Reset's times
+// only as far as they are ASAP. Each move is priced both ways (the
+// makespan alone, then the full cost at Commit; and the full cost up
+// front) and checked against ASAPSchedule + Evaluate.
+func TestDeltaRetimeEdgeCases(t *testing.T) {
+	g := trickyGraph(t) // inputs 0-2, then s=3, m=4, dead=5, f1=6, f2=7
+	last := NodeID(g.NumNodes() - 1)
+	row := func(tgt Target, ids ...int) []geom.Point {
+		place := make([]geom.Point, g.NumNodes())
+		for i := range place {
+			place[i] = tgt.Grid.At(ids[i])
+		}
+		return place
+	}
+	tgt := DefaultTarget(3, 1)
+	cases := []struct {
+		name  string
+		tgt   Target
+		place []geom.Point
+		delay NodeID // when >= 0, Reset's schedule starts this node 5 cycles late
+		n     NodeID
+		to    geom.Point
+	}{
+		{"move node 0", tgt, row(tgt, 0, 1, 2, 0, 1, 2, 0, 1), -1, 0, geom.Pt(2, 0)},
+		{"move the last node", tgt, row(tgt, 0, 1, 2, 0, 1, 2, 0, 1), -1, last, geom.Pt(0, 0)},
+		{"move within the same place", tgt, row(tgt, 0, 1, 2, 0, 1, 2, 0, 1), -1, 4, geom.Pt(1, 0)},
+		// Place 0 holds only inputs below s, whose operands are all ready
+		// there at cycle 0: moving input y re-times s, and the walk back
+		// past the inputs must seed its calendar at 0, not 1.
+		{"place holds only inputs below n", tgt, row(tgt, 0, 0, 0, 0, 1, 1, 2, 2), -1, 1, geom.Pt(1, 0)},
+		// The same, for the moved node itself joining that place.
+		{"moved node joins a place of inputs", tgt, row(tgt, 0, 0, 0, 1, 1, 1, 2, 2), -1, 3, geom.Pt(0, 0)},
+		{"1x1 grid", DefaultTarget(1, 1), row(DefaultTarget(1, 1), 0, 0, 0, 0, 0, 0, 0, 0), -1, 4, geom.Pt(0, 0)},
+		// Reset's times are not ASAP from node 3 on, so moving the last
+		// node must re-time from node 3, not from the moved node.
+		{"Reset from a schedule that is not ASAP", tgt, row(tgt, 0, 1, 2, 0, 1, 2, 0, 1), 3, last, geom.Pt(2, 0)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sched := ASAPSchedule(g, c.place, c.tgt)
+			if c.delay >= 0 {
+				sched[c.delay].Time += 5
+			}
+			moved := append([]geom.Point(nil), c.place...)
+			moved[c.n] = c.to
+			want := fullCost(t, g, moved, c.tgt)
+			wantSched := ASAPSchedule(g, moved, c.tgt)
+			for _, cyclesOnly := range []bool{true, false} {
+				d, err := NewDeltaEvaluator(g, c.tgt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.Reset(sched); err != nil {
+					t.Fatal(err)
+				}
+				if cyclesOnly {
+					if got := d.ProposeCycles(c.n, c.to); got != want.Cycles {
+						t.Fatalf("ProposeCycles = %d, full evaluator %d", got, want.Cycles)
+					}
+				} else if got := d.Propose(c.n, c.to); !costsBitEqual(got, want) {
+					t.Fatalf("Propose diverges:\n got %+v\nwant %+v", got, want)
+				}
+				d.Commit()
+				if got := d.Cost(); !costsBitEqual(got, want) {
+					t.Fatalf("cyclesOnly=%v: Cost() after Commit diverges:\n got %+v\nwant %+v", cyclesOnly, got, want)
+				}
+				gotSched := d.Snapshot(nil)
+				for i := range wantSched {
+					if gotSched[i] != wantSched[i] {
+						t.Fatalf("cyclesOnly=%v: snapshot[%d] = %+v, want %+v", cyclesOnly, i, gotSched[i], wantSched[i])
+					}
+				}
+			}
+		})
+	}
 }

@@ -34,6 +34,7 @@ type Checker struct {
 	pending bool
 	pn      fm.NodeID
 	pto     geom.Point
+	pwant   fm.Cost // the full evaluator's cost of the pending move
 }
 
 // New builds a Checker for g on tgt.
@@ -71,6 +72,36 @@ func (c *Checker) Reset(sched fm.Schedule) (fm.Cost, error) {
 // an error describing the first differing cost field, if any.
 func (c *Checker) ProposeChecked(n fm.NodeID, to geom.Point) (fm.Cost, error) {
 	got := c.d.Propose(n, to)
+	want, err := c.full(n, to)
+	if err != nil {
+		return fm.Cost{}, err
+	}
+	if diff := diffCosts(got, want); diff != "" {
+		return fm.Cost{}, fmt.Errorf("deltacheck: move of node %d %v->%v diverges: %s", n, c.place[n], to, diff)
+	}
+	c.pending, c.pn, c.pto, c.pwant = true, n, to, want
+	return got, nil
+}
+
+// proposeCyclesChecked is ProposeChecked for the makespan-only
+// proposal: the delta evaluator's makespan must equal the full
+// evaluator's Cycles, and Commit later checks the rest of the cost.
+func (c *Checker) proposeCyclesChecked(n fm.NodeID, to geom.Point) (int64, error) {
+	got := c.d.ProposeCycles(n, to)
+	want, err := c.full(n, to)
+	if err != nil {
+		return 0, err
+	}
+	if got != want.Cycles {
+		return 0, fmt.Errorf("deltacheck: makespan of moving node %d %v->%v is %d, full evaluator %d", n, c.place[n], to, got, want.Cycles)
+	}
+	c.pending, c.pn, c.pto, c.pwant = true, n, to, want
+	return got, nil
+}
+
+// full prices the committed placement with node n moved to to, through
+// ASAPSchedule and fm.Evaluate.
+func (c *Checker) full(n fm.NodeID, to geom.Point) (fm.Cost, error) {
 	old := c.place[n]
 	c.place[n] = to
 	want, err := fm.Evaluate(c.g, fm.ASAPSchedule(c.g, c.place, c.tgt), c.tgt, fm.EvalOptions{SkipCheck: true})
@@ -78,33 +109,44 @@ func (c *Checker) ProposeChecked(n fm.NodeID, to geom.Point) (fm.Cost, error) {
 	if err != nil {
 		return fm.Cost{}, fmt.Errorf("deltacheck: full evaluator failed on proposed move: %w", err)
 	}
-	if diff := diffCosts(got, want); diff != "" {
-		return fm.Cost{}, fmt.Errorf("deltacheck: move of node %d %v->%v diverges: %s", n, old, to, diff)
+	return want, nil
+}
+
+// commitChecked promotes the last proposal in both the delta evaluator
+// and the reference placement, then checks the committed cost, which
+// Commit completes after a makespan-only proposal, against the full
+// evaluator's.
+func (c *Checker) commitChecked() error {
+	c.d.Commit()
+	if !c.pending {
+		return nil
 	}
-	c.pending, c.pn, c.pto = true, n, to
-	return got, nil
+	c.place[c.pn] = c.pto
+	c.pending = false
+	if diff := diffCosts(c.d.Cost(), c.pwant); diff != "" {
+		return fmt.Errorf("deltacheck: committed cost of moving node %d to %v diverges: %s", c.pn, c.pto, diff)
+	}
+	return nil
 }
 
 // Propose is ProposeChecked for callers on the search hot path, which
 // has no error channel for a single move.
 func (c *Checker) Propose(n fm.NodeID, to geom.Point) fm.Cost {
 	cost, err := c.ProposeChecked(n, to)
-	if err != nil {
-		//lint:allow panic(differential-harness invariant: a delta-vs-full divergence must abort the run, and the hot path has no error channel)
-		panic(err)
-	}
+	mustAgree(err)
 	return cost
 }
 
-// Commit promotes the last proposal in both the delta evaluator and the
-// reference placement.
-func (c *Checker) Commit() {
-	c.d.Commit()
-	if c.pending {
-		c.place[c.pn] = c.pto
-		c.pending = false
-	}
+// ProposeCycles is the checked makespan-only proposal for the search
+// hot path.
+func (c *Checker) ProposeCycles(n fm.NodeID, to geom.Point) int64 {
+	cyc, err := c.proposeCyclesChecked(n, to)
+	mustAgree(err)
+	return cyc
 }
+
+// Commit is the checked Commit for the search hot path.
+func (c *Checker) Commit() { mustAgree(c.commitChecked()) }
 
 // Cost returns the committed cost.
 func (c *Checker) Cost() fm.Cost { return c.d.Cost() }
@@ -116,11 +158,19 @@ func (c *Checker) Snapshot(dst fm.Schedule) fm.Schedule {
 	want := fm.ASAPSchedule(c.g, c.place, c.tgt)
 	for i := range want {
 		if dst[i] != want[i] {
-			//lint:allow panic(differential-harness invariant: a delta-vs-full divergence must abort the run, and Snapshot has no error channel)
-			panic(fmt.Sprintf("deltacheck: snapshot[%d] = %+v, want %+v", i, dst[i], want[i]))
+			mustAgree(fmt.Errorf("deltacheck: snapshot[%d] = %+v, want %+v", i, dst[i], want[i]))
 		}
 	}
 	return dst
+}
+
+// mustAgree aborts the run on a delta-vs-full divergence: the search hot
+// path and Snapshot have no error channel.
+func mustAgree(err error) {
+	if err != nil {
+		//lint:allow panic(differential-harness invariant: a delta-vs-full divergence must abort the run, and the hot path has no error channel)
+		panic(err)
+	}
 }
 
 // diffCosts reports the fields where a and b differ at the bit level,

@@ -23,11 +23,13 @@ func TestCheckerReplaysRandomWalk(t *testing.T) {
 		for mv := 0; mv < 250; mv++ {
 			n := fm.NodeID(rng.Intn(g.NumNodes()))
 			to := tgt.Grid.At(rng.Intn(tgt.Grid.Nodes()))
-			if _, err := c.ProposeChecked(n, to); err != nil {
+			if err := c.propose(n, to, rng.Intn(2) == 0); err != nil {
 				t.Fatalf("seed %d move %d: %v", seed, mv, err)
 			}
 			if rng.Intn(2) == 0 {
-				c.Commit()
+				if err := c.commitChecked(); err != nil {
+					t.Fatalf("seed %d move %d: %v", seed, mv, err)
+				}
 			}
 		}
 		c.Snapshot(nil)

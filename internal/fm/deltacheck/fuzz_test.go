@@ -40,7 +40,9 @@ func fuzzGraph(seed int64, ops int) *fm.Graph {
 // through the Checker: every move is priced incrementally and from
 // scratch, and any divergence — in any Cost field, at the bit level —
 // fails the run. Three fuzz bytes make one move: node choice, target
-// grid point, and an accept bit deciding whether the move commits.
+// grid point, and a flags byte whose bit 0 decides whether the move
+// commits and whose bit 1 prices the makespan alone (ProposeCycles),
+// leaving the rest of the cost to be completed and checked at Commit.
 func FuzzDeltaEvaluate(f *testing.F) {
 	f.Add(int64(1), 30, 3, 3, []byte{0, 0, 1, 5, 8, 0, 20, 3, 1})
 	f.Add(int64(42), 60, 4, 4, []byte("annealing-walks-the-grid"))
@@ -48,6 +50,7 @@ func FuzzDeltaEvaluate(f *testing.F) {
 	f.Add(int64(9), 80, 8, 1, []byte{1, 2, 3, 4, 5, 6}) // 1-D grid
 	f.Add(int64(3), 1, 2, 2, []byte{0, 1, 1, 0, 2, 1})  // minimal graph
 	f.Add(int64(11), 45, 2, 5, []byte{250, 250, 250, 17, 17, 17, 80, 80, 80})
+	f.Add(int64(5), 70, 4, 1, []byte{40, 1, 3, 60, 2, 2, 10, 3, 3, 69, 0, 3, 0, 2, 1}) // makespan-only proposals, committed and rejected
 
 	f.Fuzz(func(t *testing.T, seed int64, ops, gw, gh int, moves []byte) {
 		if ops < 1 {
@@ -87,15 +90,28 @@ func FuzzDeltaEvaluate(f *testing.F) {
 		for i := 0; i+2 < len(moves); i += 3 {
 			n := fm.NodeID(int(moves[i]) % g.NumNodes())
 			to := tgt.Grid.At(int(moves[i+1]) % tgt.Grid.Nodes())
-			if _, err := c.ProposeChecked(n, to); err != nil {
+			if err := c.propose(n, to, moves[i+2]&2 != 0); err != nil {
 				t.Fatalf("move %d: %v", i/3, err)
 			}
 			if moves[i+2]&1 == 1 {
-				c.Commit()
+				if err := c.commitChecked(); err != nil {
+					t.Fatalf("move %d: %v", i/3, err)
+				}
 			}
 		}
 		// Final committed state must still round-trip through Snapshot's
 		// internal ASAP cross-check.
 		c.Snapshot(nil)
 	})
+}
+
+// propose prices one move through the Checker, either in full or as
+// the makespan alone.
+func (c *Checker) propose(n fm.NodeID, to geom.Point, cyclesOnly bool) error {
+	if cyclesOnly {
+		_, err := c.proposeCyclesChecked(n, to)
+		return err
+	}
+	_, err := c.ProposeChecked(n, to)
+	return err
 }

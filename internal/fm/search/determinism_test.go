@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -101,18 +102,34 @@ func TestAnnealDeterministicAcrossWorkers(t *testing.T) {
 
 func TestAnnealDeltaMatrixBitIdentical(t *testing.T) {
 	// The 4-way equivalence matrix: {Workers 1, 8} x {delta on, off} must
-	// all produce byte-identical schedules and costs. Delta evaluation
-	// prices candidate moves incrementally but bit-equal to the full
-	// evaluator, so the Metropolis decisions — and the whole trajectory —
-	// cannot depend on the toggle; workers never change answers by the
-	// package's standing guarantee. Any drift in the delta evaluator that
-	// escaped the differential harness would surface here as a cost or
-	// schedule mismatch.
-	tgt := fm.DefaultTarget(4, 2)
+	// all produce byte-identical schedules and costs, under every
+	// objective. Delta evaluation prices candidate moves incrementally but
+	// bit-equal to the full evaluator (a time objective prices only the
+	// makespan and completes the cost of accepted moves), so the
+	// Metropolis decisions — and the whole trajectory — cannot depend on
+	// the toggle; workers never change answers by the package's standing
+	// guarantee. Any drift in the delta evaluator that escaped the
+	// differential harness would surface here as a cost or schedule
+	// mismatch. Besides random graphs, the matrix anneals the serving
+	// shape: an edit-distance recurrence on a width-4 target.
+	type graphCase struct {
+		name string
+		g    *fm.Graph
+		tgt  fm.Target
+		seed int64
+	}
+	var cases []graphCase
 	for _, seed := range []int64{1, 7, 42} {
 		for _, size := range []int{30, 60} {
-			g := randomGraph(seed, size)
-			base := AnnealOptions{Iters: 400, Seed: seed, Chains: 4, ExchangeEvery: 100}
+			cases = append(cases, graphCase{fmt.Sprintf("random seed=%d size=%d", seed, size), randomGraph(seed, size), fm.DefaultTarget(4, 2), seed})
+		}
+	}
+	editDist, _ := smallRec(t, 10)
+	cases = append(cases, graphCase{"edit distance 10x10", editDist, fm.DefaultTarget(4, 1), 3})
+
+	for _, gc := range cases {
+		for _, obj := range []Objective{MinTime, MinEnergy, MinEDP, MinFootprint} {
+			base := AnnealOptions{Iters: 400, Seed: gc.seed, Chains: 4, ExchangeEvery: 100, Objective: obj}
 
 			type cell struct {
 				workers int
@@ -125,18 +142,18 @@ func TestAnnealDeltaMatrixBitIdentical(t *testing.T) {
 				opts := base
 				opts.Workers = c.workers
 				opts.DisableDelta = c.disable
-				sched, cost := mustAnneal(t, g, tgt, opts)
+				sched, cost := mustAnneal(t, gc.g, gc.tgt, opts)
 				if i == 0 {
 					refSched, refCost = sched, cost
 					continue
 				}
 				if cost != refCost {
-					t.Fatalf("seed=%d size=%d workers=%d delta=%v: cost %+v, want %+v",
-						seed, size, c.workers, !c.disable, cost, refCost)
+					t.Fatalf("%s %v workers=%d delta=%v: cost %+v, want %+v",
+						gc.name, obj, c.workers, !c.disable, cost, refCost)
 				}
 				if !reflect.DeepEqual(sched, refSched) {
-					t.Fatalf("seed=%d size=%d workers=%d delta=%v: schedules differ at equal cost",
-						seed, size, c.workers, !c.disable)
+					t.Fatalf("%s %v workers=%d delta=%v: schedules differ at equal cost",
+						gc.name, obj, c.workers, !c.disable)
 				}
 			}
 		}

@@ -207,15 +207,19 @@ type AnnealOptions struct {
 
 // mover is the incremental move-pricing engine an annealing chain drives:
 // Reset prices a schedule in full and makes it current, Propose prices
-// one relocation without committing (rejections need no cleanup), Commit
-// adopts the last proposal, Snapshot copies out the committed schedule.
-// Costs are bit-identical to pricing the re-timed schedule with
-// fm.Evaluate. newMover (build-tag selected) supplies the production
-// fm.DeltaEvaluator or the differential deltacheck.Checker.
+// one relocation without committing (rejections need no cleanup),
+// ProposeCycles prices only that relocation's makespan, Commit adopts
+// the last proposal and Cost returns the committed cost, Snapshot copies
+// out the committed schedule. Costs are bit-identical to pricing the
+// re-timed schedule with fm.Evaluate. newMover (build-tag selected)
+// supplies the production fm.DeltaEvaluator or the differential
+// deltacheck.Checker.
 type mover interface {
 	Reset(fm.Schedule) (fm.Cost, error)
 	Propose(fm.NodeID, geom.Point) fm.Cost
+	ProposeCycles(fm.NodeID, geom.Point) int64
 	Commit()
+	Cost() fm.Cost
 	Snapshot(fm.Schedule) fm.Schedule
 }
 
@@ -336,6 +340,8 @@ func (ch *chain) run(g *fm.Graph, gfp uint64, tgt fm.Target, obj Objective, cach
 // it incrementally (bit-identical to the full evaluator, so the
 // Metropolis decisions — and therefore the RNG stream and the whole
 // trajectory — match the classic path exactly), commit on acceptance.
+// A time objective reads only the makespan, so its proposals price
+// nothing else, and Commit finishes the full cost of the accepted ones.
 // The steady-state path allocates nothing; a new global best snapshots
 // into a fresh schedule (improvements are rare and the buffer must
 // outlive cross-chain adoption) and is published to the shared cache so
@@ -345,15 +351,23 @@ func (ch *chain) run(g *fm.Graph, gfp uint64, tgt fm.Target, obj Objective, cach
 func (ch *chain) step(g *fm.Graph, gfp uint64, tgt fm.Target, obj Objective, cache *EvalCache) {
 	n := ch.rng.Intn(g.NumNodes())
 	to := tgt.Grid.At(ch.rng.Intn(tgt.Grid.Nodes()))
-	//lint:allow alloc(mover contract: Propose is delta-priced in preallocated scratch; the DeltaEvaluator implementation is itself lint:hotpath-checked)
-	candCost := ch.eng.Propose(fm.NodeID(n), to)
+	var cand float64
+	if obj == MinTime {
+		//lint:allow alloc(mover contract: ProposeCycles is delta-priced in preallocated scratch; the DeltaEvaluator implementation is itself lint:hotpath-checked)
+		cand = float64(ch.eng.ProposeCycles(fm.NodeID(n), to))
+	} else {
+		//lint:allow alloc(mover contract: Propose is delta-priced in preallocated scratch; the DeltaEvaluator implementation is itself lint:hotpath-checked)
+		cand = obj.Value(ch.eng.Propose(fm.NodeID(n), to))
+	}
 	ch.evals++
-	delta := obj.Value(candCost) - obj.Value(ch.curCost)
+	delta := cand - obj.Value(ch.curCost)
 	if delta <= 0 || ch.rng.Float64() < math.Exp(-delta/math.Max(ch.temp, 1e-12)) {
 		ch.accepts++
-		//lint:allow alloc(mover contract: Commit swaps preallocated committed/candidate state, no allocation)
+		//lint:allow alloc(mover contract: Commit prices and swaps preallocated committed/candidate state, no allocation)
 		ch.eng.Commit()
 		ch.place[n] = to
+		//lint:allow alloc(mover contract: Cost returns the committed cost by value, no allocation)
+		candCost := ch.eng.Cost()
 		ch.curCost = candCost
 		if obj.Value(candCost) < obj.Value(ch.bestCost) {
 			//lint:allow alloc(new-best path only: improvements are rare and the snapshot must outlive cross-chain adoption, so it deliberately allocates; the steady-state reject/accept path is what the zero-alloc gate pins)

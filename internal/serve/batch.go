@@ -41,12 +41,16 @@ func (s *Server) evalWorker() {
 
 // processBatch groups one drain's jobs by batchKey in first-appearance
 // order and prices each group with a single EvalBatch call. Every job
-// receives exactly one evalResult.
+// receives exactly one evalResult. The drain's metrics are recorded
+// before any job is answered, so a scrape that follows a response sees
+// that response's batch.
 func (s *Server) processBatch(jobs []*evalJob) {
 	start := s.clock.Now()
 	for _, j := range jobs {
 		s.mQueueWait.Observe(start.Sub(j.enqueued))
 	}
+	s.mBatches.Inc()
+	s.mBatchJobs.Observe(float64(len(jobs)))
 
 	groups := make(map[batchKey][]*evalJob, len(jobs))
 	var order []batchKey
@@ -61,11 +65,6 @@ func (s *Server) processBatch(jobs []*evalJob) {
 	for _, k := range order {
 		s.priceGroup(groups[k])
 	}
-
-	elapsed := s.clock.Now().Sub(start)
-	s.mBatches.Inc()
-	s.mBatchJobs.Observe(float64(len(jobs)))
-	s.observeBatch(len(jobs), elapsed)
 }
 
 // priceGroup prices one coalesced group. Jobs whose context already
@@ -78,7 +77,8 @@ func (s *Server) processBatch(jobs []*evalJob) {
 // The group gets its own detached trace (route "batch"): the batch is
 // server-owned work with no single parent request, so batch-mates link
 // to it by annotation — each member trace carries the batch trace's ID
-// — rather than by nesting. The batch trace is finished before any
+// — rather than by nesting. The batch trace is finished, and the
+// group's per-job service time folded into the EWMA, before any priced
 // result is delivered, so traces land in the ring in a deterministic
 // order: batch first, then its members as their handlers respond.
 func (s *Server) priceGroup(group []*evalJob) {
@@ -111,6 +111,7 @@ func (s *Server) priceGroup(group []*evalJob) {
 		j.rt.Annotate("batch_jobs", strconv.Itoa(len(live)))
 	}
 
+	start := s.clock.Now()
 	first := live[0]
 	// Warm the cache from the persistent atlas so EvalBatch prices only
 	// mappings this process has never seen on disk or in memory.
@@ -127,6 +128,7 @@ func (s *Server) priceGroup(group []*evalJob) {
 		bt.SetOutcome("error")
 	}
 	bt.Finish()
+	s.observeBatch(len(live), s.clock.Now().Sub(start))
 	for i, j := range live {
 		if err != nil {
 			j.result <- evalResult{err: err}

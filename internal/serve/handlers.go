@@ -267,7 +267,6 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mQueueDepth.Set(float64(s.queue.depth()))
-	rt.Stage("queue_wait")
 
 	deliver := func(res evalResult) {
 		if res.err != nil {

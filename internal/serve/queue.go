@@ -71,13 +71,16 @@ func newJobQueue(capacity int) *jobQueue {
 
 // tryEnqueue admits j if a slot is free. It never blocks: a full (or
 // closed) queue returns false immediately, which the handler turns into
-// 429 + Retry-After.
+// 429 + Retry-After. An admitted job's trace enters its queue_wait stage
+// before any worker can see the job, so the worker's batch stage always
+// follows it.
 func (q *jobQueue) tryEnqueue(j *evalJob) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed || len(q.jobs) >= q.capacity {
 		return false
 	}
+	j.rt.Stage("queue_wait")
 	q.jobs = append(q.jobs, j)
 	q.nonEmpty.Broadcast()
 	return true

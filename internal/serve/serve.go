@@ -374,7 +374,8 @@ func (s *Server) deadlineFor(parent context.Context, r *http.Request, bodyMS int
 	return ctx, cancel, nil
 }
 
-// observeBatch folds one batch's per-job service time into the EWMA.
+// observeBatch folds one coalesced group's per-job service time into
+// the EWMA.
 func (s *Server) observeBatch(jobs int, elapsed time.Duration) {
 	if jobs <= 0 {
 		return

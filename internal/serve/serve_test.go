@@ -289,6 +289,26 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// A scrape that follows a response sees that response's batch: the
+// drain records its metrics before it answers any job. Sequential evals
+// through the one eval worker are one drain each, so after the i-th
+// answer the batch counter and histogram both read i.
+func TestScrapeAfterEvalSeesItsBatch(t *testing.T) {
+	s := newTestServer(t, nil)
+	for i := int64(1); i <= 100; i++ {
+		if code, rec := post(t, s, "POST", "/v1/eval", evalBody, nil); code != 200 {
+			t.Fatalf("eval %d: %d %s", i, code, rec.Body.String())
+		}
+		snap := s.reg.Snapshot()
+		if got := snap.Counters["serve.eval.batches"]; got != i {
+			t.Fatalf("after eval %d, serve.eval.batches = %d", i, got)
+		}
+		if got := snap.Histograms["serve.eval.batch_jobs"].Count; got != i {
+			t.Fatalf("after eval %d, serve.eval.batch_jobs counts %d batches", i, got)
+		}
+	}
+}
+
 const slackBody = `{
 	"recurrence": {"dims": [5, 5], "deps": [[1, 0], [0, 1]]},
 	"target": {"width": 4},

@@ -99,11 +99,9 @@ func TestEvalTraceBatchedSumsExactly(t *testing.T) {
 		code, _ := post(t, s, "POST", "/v1/eval", evalBody, nil)
 		done <- code
 	}()
+	// Admission opens queue_wait under the queue lock, before the depth
+	// rises, so the advance lands in the wait as soon as the job shows.
 	waitUntil(t, func() bool { return s.queue.depth() == 1 })
-	// Settle: depth rises on enqueue, one statement before the handler
-	// opens queue_wait; give that statement time to run before the clock
-	// moves so the advance is attributed to the wait, not admission.
-	time.Sleep(50 * time.Millisecond)
 	fc.Advance(5 * time.Second)
 	s.SetMode(ModeServe)
 	if code := <-done; code != 200 {
