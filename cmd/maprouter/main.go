@@ -1,7 +1,8 @@
 // Command maprouter is the cluster coordinator for a fleet of mapd
 // shards (internal/cluster): it owns a rendezvous-hash ring over the
 // shard addresses, routes /v1/eval and /v1/slack by content — the
-// fm.Fingerprint(graph, target) routing key — with replicated failover
+// graph fingerprint, so every request about one graph lands on one
+// replica set whatever its schedule or target — with replicated failover
 // and hedged retries, and runs a valid /v1/search anneal as a
 // scatter-gather whose exchange barriers it arbitrates with a
 // deterministic winner rule; other searches go whole to one shard. GET /v1/metrics aggregates every shard's snapshot next to the

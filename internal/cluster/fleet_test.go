@@ -172,19 +172,22 @@ const (
 )
 
 // expectedDiffs lists the request kinds whose fleet answer may differ
-// from a single mapd's, each with the one way it may differ. It may only
-// shrink: a listed kind that no longer differs anywhere in the matrix
-// fails the test.
-var expectedDiffs = map[string]func(fleet, single answer) bool{
+// from a single mapd's, each with the one way it may differ; healthy
+// says whether every shard of the cell is up and has never restarted.
+// It may only shrink: a listed kind that no longer differs anywhere in
+// the matrix fails the test.
+var expectedDiffs = map[string]func(fleet, single answer, healthy bool) bool{
 	// The router's scatter-gather restarts annealing every round with its
 	// own seed strides, so even one shard does not reproduce the
 	// in-process search (ROADMAP item 4). The status still matches.
-	kindAnneal: func(fleet, single answer) bool { return fleet.status == single.status },
+	kindAnneal: func(fleet, single answer, _ bool) bool { return fleet.status == single.status },
 	// A shard registers only the graphs routed to it, and a restarted
-	// shard none, so a fingerprint a single mapd knows can be unknown on
-	// the shard that owns the (graph, target) key.
-	kindGraphFP: func(fleet, single answer) bool {
-		return fleet.status == http.StatusNotFound && single.status == http.StatusOK
+	// shard none. Every request about one graph routes to one replica
+	// set, so a healthy fleet knows every graph a single mapd knows; once
+	// shard 0 dies, the replica that answers in its place may not
+	// (ROADMAP item 5).
+	kindGraphFP: func(fleet, single answer, healthy bool) bool {
+		return !healthy && fleet.status == http.StatusNotFound && single.status == http.StatusOK
 	},
 }
 
@@ -229,9 +232,8 @@ var malformedSearches = []string{
 // stream already sent inline, slack requests, anneal and exhaustive
 // searches, and every body of malformedSearches at evenly spaced rows.
 // Its first row sends one graph inline under width 4 only; its last row
-// asks for that graph by fingerprint under a target whose key another
-// shard owns in the 2- and 3-shard rings, so a healthy fleet answers
-// that row 404 by construction.
+// asks for that graph by fingerprint under width 2, which a fleet
+// answers as a single mapd does only if it routes by graph alone.
 func diffStream(t testing.TB, seed int64, n int) []streamReq {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -303,17 +305,8 @@ func diffStream(t testing.TB, seed int64, n int) []streamReq {
 				`{"recurrence": %s, "target": {"width": 4}, "kind": "exhaustive"}`, rec)})
 		}
 	}
-	// The lone graph, asked for under a target whose key the width-4
-	// key's primary does not own in either multi-shard ring.
-	primary := func(shards, width int) int {
-		return NewRing(shards).Owners(fm.FingerprintFP(loneFP, fm.DefaultTarget(width, 1)), 1)[0]
-	}
-	w := 2
-	for primary(2, w) == primary(2, 4) || primary(3, w) == primary(3, 4) {
-		w++
-	}
 	return append(out, streamReq{kindGraphFP, "POST", "/v1/eval", fmt.Sprintf(
-		`{"graph_fp": "%x", "target": {"width": %d}, "schedules": [{"kind": "list"}]}`, loneFP, w)})
+		`{"graph_fp": "%x", "target": {"width": 2}, "schedules": [{"kind": "list"}]}`, loneFP)})
 }
 
 // answer is one response as the differential test compares it.
@@ -408,7 +401,7 @@ func TestFleetAnswersMatchSingleMapd(t *testing.T) {
 				if reflect.DeepEqual(got, want[i]) {
 					continue
 				}
-				if expected, ok := expectedDiffs[q.kind]; !ok || !expected(got, want[i]) {
+				if expected, ok := expectedDiffs[q.kind]; !ok || !expected(got, want[i], cell.killAt < 0) {
 					t.Fatalf("request %d (%s) %s\n fleet: %d %v %s\nsingle: %d %v %s", i, q.kind, q.body,
 						got.status, got.header, got.body, want[i].status, want[i].header, want[i].body)
 				}
@@ -443,7 +436,7 @@ func TestFleetAnswersMatchSingleMapd(t *testing.T) {
 
 // genClusterBodies builds n distinct evals from the seed: one
 // antidiagonal stride each, over recurrences whose dims vary so the
-// (graph, target) keys spread over the shards. Distinct strides keep
+// graph keys spread over the shards. Distinct strides keep
 // every (graph, schedule, target) triple unique, which makes the kill
 // test's store-hit count exact.
 func genClusterBodies(seed int64, n int) []string {
@@ -490,7 +483,7 @@ func killPhase(t *testing.T, rt *Router, name string, bodies []string) (answers 
 // still, the shard serves its keys again and answers every one from its
 // store.
 func TestFleetKillAndRejoin(t *testing.T) {
-	const victimKeysWant = 11 // shard ownership of the seed-1 stream is a function of the ring
+	const victimKeysWant = 16 // shard ownership of the seed-1 stream is a function of the ring
 	bodies := genClusterBodies(1, 24)
 	shards, urls := newFleet(t, 3)
 	rt, reg := newTestRouter(t, urls, nil)

@@ -1,9 +1,11 @@
 // Package cluster is the sharded serving tier: a stateless HTTP
 // coordinator (cmd/maprouter) that partitions mapd work across N shard
-// processes by content — fm.Fingerprint(graph, target) — so each
-// shard's EvalCache and mapping atlas serve a stable key range and stay
-// hot, the way a single process's cache stays hot only if the request
-// stream it sees is the request stream it warmed on.
+// processes by content — the graph fingerprint, serve.RouteKey — so
+// every request about one graph, for any schedule or target, lands on
+// one replica set. Each shard's graph registry, EvalCache and mapping
+// atlas then serve a stable key range and stay hot, the way a single
+// process's cache stays hot only if the request stream it sees is the
+// request stream it warmed on.
 //
 // Three mechanisms, each deliberately boring:
 //

@@ -4,7 +4,7 @@
 // in DESIGN.md; each experiment here rebuilds one claim from the
 // simulators and reports paper-value versus measured-value in a table.
 // cmd/panelbench prints all of them; EXPERIMENTS.md records a reference
-// run; the root bench_test.go times the underlying kernels.
+// run; BenchmarkExperiments times each one as it runs here.
 package experiments
 
 import (

@@ -33,6 +33,33 @@ func TestAllExperimentsPass(t *testing.T) {
 	}
 }
 
+// BenchmarkExperiments times every experiment as cmd/panelbench runs it
+// and TestAllExperimentsPass gates it: one sub-benchmark per All() entry,
+// named by its ID, reporting the result's Metrics. A failed verdict is
+// logged, not failed: the claims are TestAllExperimentsPass's to gate,
+// and E8 and E20 carry wall-clock verdicts. With -benchtime=1x this is a
+// smoke run of every experiment.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range All() {
+		b.Run(e.ID, func(b *testing.B) {
+			var r Result
+			for i := 0; i < b.N; i++ {
+				r = e.Run()
+			}
+			for _, m := range r.Metrics {
+				b.ReportMetric(m.Value, m.Name)
+			}
+			if !r.Pass {
+				var sb strings.Builder
+				if _, err := r.WriteTo(&sb); err != nil {
+					b.Fatal(err)
+				}
+				b.Logf("verdict FAIL (gated by TestAllExperimentsPass, not here):\n%s", sb.String())
+			}
+		})
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
 	es := All()
 	if len(es) != 20 {

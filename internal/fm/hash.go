@@ -1,7 +1,5 @@
 package fm
 
-import "fmt"
-
 // Structural fingerprints for graphs and schedules. The mapping searcher
 // memoizes Evaluate results across worker goroutines keyed by
 // (function, mapping) — these hashes are that key, exported from fm so
@@ -42,33 +40,6 @@ func (g *Graph) Fingerprint() uint64 {
 	}
 	for _, o := range g.outputs {
 		h = fnvMix(h, uint64(uint32(o)))
-	}
-	return h
-}
-
-// Fingerprint returns a 64-bit hash of one (graph, target) pair: the
-// graph's structural fingerprint folded with every numeric field of the
-// target (defaults applied first, so a zero field and its documented
-// default hash equal). This is the unit of work the serving tier keys
-// everything by — EvalCache entries, the mapping atlas, and the cluster
-// router's shard assignment all partition on it — so two requests that
-// would hit the same cache lines always carry the same fingerprint.
-func Fingerprint(g *Graph, tgt Target) uint64 {
-	return FingerprintFP(g.Fingerprint(), tgt)
-}
-
-// FingerprintFP is Fingerprint for callers that already hold the graph's
-// structural fingerprint (e.g. a router forwarding a graph_fp-only
-// request without materializing the recurrence). The target is folded in
-// through its canonical %+v rendering — the same form searchKey and the
-// annealer's checkpoints pin a target by — so every layer that compares
-// targets agrees on when two of them are the same machine.
-func FingerprintFP(gfp uint64, tgt Target) uint64 {
-	h := fnvOffset64
-	h = fnvMix(h, gfp)
-	for _, b := range []byte(fmt.Sprintf("%+v", tgt.withDefaults())) {
-		h ^= uint64(b)
-		h *= fnvPrime64
 	}
 	return h
 }

@@ -87,38 +87,6 @@ func TestScheduleFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-func TestRoutingFingerprint(t *testing.T) {
-	g := hashChain("route", 10, 32, true)
-	tgt := DefaultTarget(4, 4)
-	if Fingerprint(g, tgt) != Fingerprint(g, tgt) {
-		t.Error("routing fingerprint not deterministic")
-	}
-	if Fingerprint(g, tgt) != FingerprintFP(g.Fingerprint(), tgt) {
-		t.Error("Fingerprint and FingerprintFP disagree for the same pair")
-	}
-	// Zero fields and their documented defaults must hash equal: a client
-	// that omits cycle_ps and one that spells out the default route to the
-	// same shard.
-	sparse := Target{Grid: geom.NewGrid(4, 4, 1.0), Tech: tech.N5()}
-	if Fingerprint(g, sparse) != Fingerprint(g, sparse.WithDefaults()) {
-		t.Error("defaults changed the routing fingerprint")
-	}
-	perturbed := map[string]Target{
-		"grid":   DefaultTarget(8, 2),
-		"pitch":  func() Target { t := DefaultTarget(4, 4); t.Grid.PitchMM = 2; return t }(),
-		"memory": func() Target { t := DefaultTarget(4, 4); t.MemWordsPerNode = 64; return t }(),
-	}
-	base := Fingerprint(g, tgt)
-	for what, other := range perturbed {
-		if Fingerprint(g, other) == base {
-			t.Errorf("changing target %s did not change the routing fingerprint", what)
-		}
-	}
-	if FingerprintFP(1, tgt) == FingerprintFP(2, tgt) {
-		t.Error("graph fingerprint does not feed the routing fingerprint")
-	}
-}
-
 func TestScheduleFingerprintNegativeCoords(t *testing.T) {
 	// Off-grid (negative) coordinates are unusual but must still hash
 	// without losing information to the uint32 packing.

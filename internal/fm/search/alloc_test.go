@@ -48,7 +48,7 @@ func newStepChain(tb testing.TB, g *fm.Graph, tgt fm.Target, obj Objective) *cha
 	// AnnealResumable's starting temperature, so the benchmark's accept
 	// ratio, which sets how often a time proposal is completed, is a
 	// search's.
-	ch.temp = AnnealOptions{}.withDefaults().InitTemp * math.Max(obj.Value(cost), 1)
+	ch.temp = initTemp * math.Max(obj.Value(cost), 1)
 	return ch
 }
 

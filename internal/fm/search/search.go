@@ -125,9 +125,6 @@ type AnnealOptions struct {
 	Seed int64
 	// Objective is the figure of merit. Defaults to MinTime.
 	Objective Objective
-	// InitTemp is the starting temperature as a fraction of the initial
-	// objective value. Defaults to 0.05.
-	InitTemp float64
 	// Chains is the number of independent annealing chains. Defaults
 	// to 1, which reproduces the classic single-chain annealer exactly.
 	Chains int
@@ -223,12 +220,13 @@ type mover interface {
 	Snapshot(fm.Schedule) fm.Schedule
 }
 
+// initTemp is every chain's starting temperature as a fraction of its
+// initial objective value.
+const initTemp = 0.05
+
 func (o AnnealOptions) withDefaults() AnnealOptions {
 	if o.Iters == 0 {
 		o.Iters = 2000
-	}
-	if o.InitTemp == 0 {
-		o.InitTemp = 0.05
 	}
 	if o.Chains <= 0 {
 		o.Chains = 1
@@ -474,7 +472,7 @@ func AnnealResumable(g *fm.Graph, tgt fm.Target, opts AnnealOptions) (fm.Schedul
 			}
 		}
 		ch.best, ch.bestCost = ch.cur, ch.curCost
-		ch.temp = opts.InitTemp * math.Max(opts.Objective.Value(ch.curCost), 1)
+		ch.temp = initTemp * math.Max(opts.Objective.Value(ch.curCost), 1)
 		chains[i] = ch
 	}
 	if resume != nil {
@@ -700,13 +698,14 @@ func mustEval(g *fm.Graph, s fm.Schedule, tgt fm.Target) fm.Cost {
 	return c
 }
 
+// maxCoeff bounds the enumeration's place coefficients a1, a2 in
+// [0, maxCoeff].
+const maxCoeff = 1
+
 // Affine2DOptions bounds the exhaustive affine enumeration.
 type Affine2DOptions struct {
 	// P is the linear-array length (placed along row 0 of the grid).
 	P int
-	// MaxCoeff bounds the place coefficients a1, a2 in [0, MaxCoeff].
-	// Defaults to 1.
-	MaxCoeff int
 	// MaxTau bounds the time coefficients t1, t2 in [0, MaxTau] (not both
 	// zero). Defaults to the target's hop+op latency so nearest-neighbour
 	// skews are representable.
@@ -765,16 +764,13 @@ func Exhaustive2D(g *fm.Graph, dom *fm.Domain, tgt fm.Target, opts Affine2DOptio
 		//lint:allow panic(argument-contract guard, like stdlib slice bounds: malformed experiment setup is a caller bug)
 		panic(fmt.Sprintf("search: invalid P=%d for grid width %d", opts.P, tgt.Grid.Width))
 	}
-	if opts.MaxCoeff == 0 {
-		opts.MaxCoeff = 1
-	}
 	if opts.MaxTau == 0 {
 		opts.MaxTau = tgt.OpCycles(g.Op(g.Outputs()[0]), g.Bits(g.Outputs()[0])) + tgt.TransitCycles(1)
 	}
 
 	var tuples []affineTuple
-	for a1 := 0; a1 <= opts.MaxCoeff; a1++ {
-		for a2 := 0; a2 <= opts.MaxCoeff; a2++ {
+	for a1 := 0; a1 <= maxCoeff; a1++ {
+		for a2 := 0; a2 <= maxCoeff; a2++ {
 			for t1 := int64(0); t1 <= opts.MaxTau; t1++ {
 				for t2 := int64(0); t2 <= opts.MaxTau; t2++ {
 					if t1 == 0 && t2 == 0 {

@@ -47,10 +47,10 @@ var fuzzBodies = []string{
 
 // FuzzRouteKey feeds arbitrary bodies to the router's decoder. It must
 // never panic, every target it accepts must have 1..maxGridNodes grid
-// nodes, and whenever the body's inline recurrence materializes on
-// a valid target, the key must be fm.FingerprintFP of the materialized
-// graph's fingerprint: the value every shard's cache and atlas key by,
-// so a router that skips the build still picks the same shard.
+// nodes, and whenever the body's inline recurrence materializes on a
+// valid target, the key must be the materialized graph's fingerprint:
+// the graph_fp a shard registers the graph under, so a router that
+// skips the build still picks the shard that knows it.
 func FuzzRouteKey(f *testing.F) {
 	for _, body := range fuzzBodies {
 		f.Add([]byte(body))
@@ -75,7 +75,7 @@ func FuzzRouteKey(f *testing.F) {
 		if err != nil {
 			t.Fatalf("RouteKey refused a servable body: %v", err)
 		}
-		if want := fm.FingerprintFP(g.Fingerprint(), tgt); key != want {
+		if want := g.Fingerprint(); key != want {
 			t.Fatalf("RouteKey = %016x, materialized graph routes to %016x", key, want)
 		}
 	})

@@ -125,10 +125,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this many
 	// bytes. Default 4 MiB.
 	SegmentBytes int64
-	// NoSyncOnPut skips the per-append fsync. Only drills and
-	// benchmarks should set it: without the fsync, a crash can lose
-	// acknowledged records.
-	NoSyncOnPut bool
 	// Obs receives store metrics under "store.*". Nil disables
 	// instrumentation at zero cost.
 	Obs *obs.Registry
@@ -574,15 +570,13 @@ func (s *Store) Put(gfp uint64, tgt fm.Target, sched fm.Schedule, cost fm.Cost) 
 		s.repairLocked()
 		return false, fmt.Errorf("store: append: %w", err)
 	}
-	if !s.opts.NoSyncOnPut {
-		if err := s.active.Sync(); err != nil {
-			// After a failed fsync the tail's on-disk state is unknown
-			// (the page cache may or may not have landed); the only
-			// honest move is to fall back to the last known-good offset.
-			s.mAppendErrs.Inc()
-			s.repairLocked()
-			return false, fmt.Errorf("store: sync append: %w", err)
-		}
+	if err := s.active.Sync(); err != nil {
+		// After a failed fsync the tail's on-disk state is unknown
+		// (the page cache may or may not have landed); the only
+		// honest move is to fall back to the last known-good offset.
+		s.mAppendErrs.Inc()
+		s.repairLocked()
+		return false, fmt.Errorf("store: sync append: %w", err)
 	}
 	s.activeSize += int64(len(frame))
 	s.applyEntryLocked(e)
@@ -681,9 +675,8 @@ func (s *Store) DumpLog(w io.Writer) error {
 	return nil
 }
 
-// Sync flushes the active segment — the drain/SIGTERM flush hook. With
-// the default per-Put fsync it is a cheap no-op-in-effect; with
-// NoSyncOnPut it is what makes the accumulated tail durable.
+// Sync flushes the active segment — the drain/SIGTERM flush hook. Put
+// already fsyncs every append, so it is a cheap no-op in effect.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,19 +6,8 @@ import (
 
 	"repro/internal/fm"
 	"repro/internal/geom"
-	"repro/internal/idioms"
 	"repro/internal/tech"
 )
-
-// idiomMap and idiomScan adapt the idioms constructors to the bench
-// fixtures' layout-function signature.
-func idiomMap(tgt fm.Target, n int, lay func(int) geom.Point) *fm.Module {
-	return idioms.Map(tgt, n, tech.OpAdd, 32, idioms.Layout(lay))
-}
-
-func idiomScan(tgt fm.Target, n int, lay func(int) geom.Point) *fm.Module {
-	return idioms.ScanKoggeStone(tgt, n, tech.OpAdd, 32, idioms.Layout(lay))
-}
 
 // TestFacadeQuickstart exercises the public facade the way the README's
 // quickstart does: build a function, map it two ways, compare costs.
